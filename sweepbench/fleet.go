@@ -5,81 +5,18 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
-	"strings"
-	"sync"
-	"time"
 
 	"repro/internal/dse"
 	"repro/internal/fleet"
 	"repro/internal/serve"
 )
 
-// Fleet shape: 2 in-process bishopd workers, the baseline grid in 4 shards.
+// Fleet shape of serve-replay's traced merge: 2 in-process bishopd workers,
+// the baseline grid in 4 shards.
 const (
 	fleetWorkers = 2
 	fleetShards  = 4
 )
-
-// runFleetMerge is a closed loop of fleet.Run merges of the baseline grid.
-// Every merge gets fresh workers with cold result caches and a fresh merged
-// checkpoint; worker start-up and shutdown are outside the timed region.
-func runFleetMerge(ctx context.Context, e *env) (result, *tracer, error) {
-	ref, err := loadReference()
-	if err != nil {
-		return result{}, nil, err
-	}
-	spec := dse.SweepSpec{Space: baselineSpace(), Seed: e.traceSeed}
-	points := spec.Points()
-	exp, err := newExpect(ref, "baseline-grid", points, e.opt.seed)
-	if err != nil {
-		return result{}, nil, err
-	}
-	_, setup, err := repeatSetup(func() (string, error) { return setupTraces(e), nil },
-		func(dir string) { os.RemoveAll(dir) })
-	if err != nil {
-		return result{}, nil, err
-	}
-
-	m := newMeasurement()
-	var skews, fresh []float64
-	deadline := time.Now().Add(e.phase())
-	for len(m.jobs) == 0 || time.Now().Before(deadline) {
-		res := fleetMerge(ctx, e, spec, exp, m, nil)
-		if len(res.WorkerRecords) > 0 {
-			skews = append(skews, workerSkew(res.WorkerRecords))
-			fresh = append(fresh, float64(res.Fresh))
-		}
-		m.counters["fleet.releases"] += float64(res.ReLeases)
-	}
-	if e.opt.seed != defaultSeed {
-		n, bad := exp.spotCheck(e.opt.seed, e.traceSeed, spotChecks)
-		m.attempted += n
-		m.failed += bad
-	}
-	m.counters["fleet.worker_skew"] = median(skews)
-	m.counters["fleet.fresh"] = median(fresh)
-	if e.opt.trace == 0 {
-		return finish(e, m, m.closedLoop(setup), nil), nil, nil
-	}
-
-	t := newTracer()
-	traces, err := replaySetup(e, t)
-	if err != nil {
-		return result{}, nil, err
-	}
-	tm := newMeasurement()
-	deadline = time.Now().Add(e.phase())
-	for len(tm.jobs) == 0 || time.Now().Before(deadline) {
-		fleetMerge(ctx, e, spec, exp, tm, t)
-	}
-	m.attempted += tm.attempted
-	m.failed += tm.failed
-	m.errs = append(m.errs, tm.errs...)
-	m.counters["workload.trace_count"] = float64(traces)
-	layers := layerValues(t, len(tm.jobs)*len(points), m.recordRate(), tm.recordRate(), m.counters)
-	return finish(e, m, nil, layers), t, nil
-}
 
 // workerSkew is max ÷ min records merged per worker; a worker that merged
 // nothing counts as one record, so the ratio stays finite.
@@ -98,15 +35,14 @@ func workerSkew(byWorker map[string]int) float64 {
 	return float64(hi) / float64(lo)
 }
 
-// fleetMerge runs one merge and checks it. With a tracer, the merge is one
-// fleet.run span, and the durable work inside it — the coordinator's
-// checkpoint appends and the workers' cache publications — is replayed
-// afterwards, one span per call, outside the merge's timing.
+// fleetMerge runs one merge of spec on fresh workers with cold result caches
+// into a fresh merged checkpoint, and checks it. The merge is one fleet.run
+// span; the durable work inside it — the coordinator's checkpoint appends
+// and the workers' cache publications — is replayed afterwards, one span per
+// call, outside the merge's span.
 func fleetMerge(ctx context.Context, e *env, spec dse.SweepSpec, exp *expect, m *measurement, t *tracer) fleet.Result {
-	n := len(exp.points)
-	m.attempted += n
-	var urls []string
-	var caches []string
+	m.attempted += len(exp.points)
+	var urls, caches []string
 	var daemons []*daemon
 	for w := 0; w < fleetWorkers; w++ {
 		dir := e.scratch("worker-cache")
@@ -123,58 +59,25 @@ func fleetMerge(ctx context.Context, e *env, spec dse.SweepSpec, exp *expect, m 
 		}
 	}()
 
-	runtime.GC()
-	var mu sync.Mutex
-	var first time.Time
-	cfg := fleet.Config{Workers: urls, Shards: fleetShards, Checkpoint: ckpt, OnRecord: func(dse.Record) {
-		mu.Lock()
-		defer mu.Unlock()
-		if first.IsZero() {
-			first = time.Now()
-		}
-	}}
-	u0 := readUsage()
-	start := time.Now()
-	root := -1
-	if t != nil {
-		root = t.begin("fleet.run", -1)
-	}
-	res, err := fleet.Run(ctx, spec, cfg)
-	if t != nil {
-		t.end(root)
-	}
-	end := time.Now()
-	cost := readUsage().sub(u0)
+	root := t.begin("fleet.run", -1)
+	res, err := fleet.Run(ctx, spec, fleet.Config{Workers: urls, Shards: fleetShards, Checkpoint: ckpt})
+	t.end(root)
 	for _, d := range daemons {
 		d.close()
 	}
-
 	if err != nil {
 		m.fail(err)
 	}
 	lines := recordLines(res.Records)
 	exp.adopt(lines)
 	m.failed += exp.tally(lines, nil)
-	mu.Lock()
-	m.jobs = append(m.jobs, job{wall: end.Sub(start), first: first.Sub(start), records: len(res.Records), cost: cost})
-	mu.Unlock()
 	if data, err := os.ReadFile(ckpt); err == nil {
 		m.counters["dse.checkpoint_bytes"] = float64(len(data))
 		m.counters["dse.checkpoint_out_of_order"] = float64(outOfOrder(data))
 	}
-	for _, dir := range caches {
-		entries, _ := os.ReadDir(dir) // an unreadable cache counts as empty
-		for _, ent := range entries {
-			if !strings.HasPrefix(ent.Name(), ".") {
-				m.counters["serve.cache_misses"]++
-			}
-		}
-	}
-	if t != nil {
-		if err := replayMergeWrites(e, t, res.Records); err != nil {
-			m.fail(err)
-			m.failed++
-		}
+	if err := replayMergeWrites(e, t, res.Records); err != nil {
+		m.fail(err)
+		m.failed++
 	}
 	return res
 }

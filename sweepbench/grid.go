@@ -18,72 +18,74 @@ import (
 // directly through dse.EvaluateAt.
 const spotChecks = 6
 
-// gridWorkload is a closed loop of whole sweeps through serve.Run, each
-// with a fresh checkpoint and a fresh result cache. withTraceDir attaches
-// the trace store to the spec, as cmd/dse -trace-dir does.
-func gridWorkload(name string, space dse.Space, withTraceDir bool) func(context.Context, *env) (result, *tracer, error) {
-	return func(ctx context.Context, e *env) (result, *tracer, error) {
-		ref, err := loadReference()
-		if err != nil {
-			return result{}, nil, err
-		}
-		spec := dse.SweepSpec{Space: space, Seed: e.traceSeed}
-		points := spec.Points()
-		exp, err := newExpect(ref, name, points, e.opt.seed)
-		if err != nil {
-			return result{}, nil, err
-		}
-		traceDir, setup, err := repeatSetup(func() (string, error) { return setupTraces(e), nil },
-			func(dir string) { os.RemoveAll(dir) })
-		if err != nil {
-			return result{}, nil, err
-		}
-		if withTraceDir {
-			spec.TraceDir = traceDir
-		}
-
-		m := newMeasurement()
-		deadline := time.Now().Add(e.phase())
-		for len(m.jobs) == 0 || time.Now().Before(deadline) {
-			gridSweep(ctx, e, spec, exp, m)
-		}
-		if e.opt.seed != defaultSeed {
-			n, bad := exp.spotCheck(e.opt.seed, e.traceSeed, spotChecks)
-			m.attempted += n
-			m.failed += bad
-		}
-		if e.opt.trace == 0 {
-			return finish(e, m, m.closedLoop(setup), nil), nil, nil
-		}
-
-		t := newTracer()
-		traces, err := replaySetup(e, t)
-		if err != nil {
-			return result{}, nil, err
-		}
-		tm := newMeasurement()
-		st := &simStats{}
-		deadline = time.Now().Add(e.phase())
-		var evalTime, sweepTime time.Duration
-		for len(tm.jobs) == 0 || time.Now().Before(deadline) {
-			gridReplay(e, t, spec.Seed, points, exp, tm, st, false)
-		}
-		for _, s := range t.summarize()["dse.evaluate"].durs {
-			evalTime += time.Duration(s)
-		}
-		for _, j := range tm.jobs {
-			sweepTime += j.wall
-		}
-		m.attempted += tm.attempted
-		m.failed += tm.failed
-		m.errs = append(m.errs, tm.errs...)
-		m.counters["workload.trace_count"] = float64(traces)
-		m.counters["bundle.active_bundle_frac"] = st.activeBundleFrac()
-		m.counters["bundle.dense_feature_frac"] = st.denseFeatureFrac()
-		m.counters["dse.parallel_eff"] = float64(evalTime) / (float64(sweepTime) * float64(e.procs))
-		layers := layerValues(t, len(tm.jobs)*len(points), m.recordRate(), tm.recordRate(), m.counters)
-		return finish(e, m, nil, layers), t, nil
+// runBishopGrid is a closed loop of whole sweeps of the Bishop grid through
+// serve.Run, each with a fresh checkpoint and a fresh result cache. The spec
+// carries the trace store, as cmd/dse -trace-dir sets it.
+func runBishopGrid(ctx context.Context, e *env) (result, *tracer, error) {
+	ref, err := loadReference()
+	if err != nil {
+		return result{}, nil, err
 	}
+	spec := dse.SweepSpec{Space: bishopSpace(), Seed: e.traceSeed}
+	points := spec.Points()
+	exp, err := newExpect(ref, "bishop-grid", points, e.opt.seed)
+	if err != nil {
+		return result{}, nil, err
+	}
+	traceDir, setup, err := repeatSetup(func() (string, error) { return setupTraces(e), nil },
+		func(dir string) { os.RemoveAll(dir) })
+	if err != nil {
+		return result{}, nil, err
+	}
+	spec.TraceDir = traceDir
+
+	m := newMeasurement()
+	deadline := time.Now().Add(e.phase())
+	for len(m.jobs) == 0 || time.Now().Before(deadline) {
+		gridSweep(ctx, e, spec, exp, m)
+	}
+	if e.opt.seed != defaultSeed {
+		n, bad := exp.spotCheck(e.opt.seed, e.traceSeed, spotChecks)
+		m.attempted += n
+		m.failed += bad
+	}
+	if e.opt.trace == 0 {
+		return finish(e, m, m.closedLoop(setup), nil), nil, nil
+	}
+
+	// The traced phase alternates sweeps of the replayed evaluator with and
+	// without spans, so trace.overhead_frac compares the same code.
+	t := newTracer()
+	traces, err := replaySetup(e, t)
+	if err != nil {
+		return result{}, nil, err
+	}
+	tm, um := newMeasurement(), newMeasurement()
+	st := &simStats{}
+	deadline = time.Now().Add(e.phase())
+	for len(tm.jobs) == 0 || time.Now().Before(deadline) {
+		gridReplay(e, t, spec.Seed, points, exp, tm, st, false)
+		gridReplay(e, nil, spec.Seed, points, exp, um, &simStats{}, false)
+	}
+	var evalTime, sweepTime time.Duration
+	for _, s := range t.summarize()["dse.evaluate"].durs {
+		evalTime += time.Duration(s)
+	}
+	for _, j := range tm.jobs {
+		sweepTime += j.wall
+	}
+	for _, x := range []*measurement{tm, um} {
+		m.attempted += x.attempted
+		m.failed += x.failed
+		m.errs = append(m.errs, x.errs...)
+	}
+	m.counters["workload.trace_count"] = float64(traces)
+	m.counters["bundle.active_bundle_frac"] = st.activeBundleFrac()
+	m.counters["bundle.dense_feature_frac"] = st.denseFeatureFrac()
+	m.counters["dse.parallel_eff"] = float64(evalTime) / (float64(sweepTime) * float64(e.procs))
+	overhead := overheadFrac(um.secsPerRecord(), tm.secsPerRecord())
+	layers := layerValues(t, len(tm.jobs)*len(points), overhead, m.counters)
+	return finish(e, m, nil, layers), t, nil
 }
 
 // gridSweep runs one measured sweep and checks its records.
@@ -132,7 +134,7 @@ func gridSweep(ctx context.Context, e *env, spec dse.SweepSpec, exp *expect, m *
 	}
 }
 
-// gridReplay is one traced sweep: the cache look-ups serve.Run makes, then
+// gridReplay is one replayed sweep, traced unless t is nil: the cache look-ups serve.Run makes, then
 // every point evaluated by procs workers through the replayed evaluator,
 // each record appended to a checkpoint and published to the cache under
 // one lock, as dse.Sweep and serve.Run do. With fill it replays

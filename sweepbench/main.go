@@ -49,7 +49,7 @@ func parseFlags(args []string, stderr io.Writer) (options, error) {
 	var o options
 	fs := flag.NewFlagSet("sweepbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	fs.StringVar(&o.workload, "workload", "", "workload name: "+fmt.Sprint(workloadNames(false)))
+	fs.StringVar(&o.workload, "workload", "", "workload name: "+fmt.Sprint(workloadNames()))
 	fs.Uint64Var(&o.seed, "seed", defaultSeed, "workload seed (trace seed, select subsets and arrival times derive from it)")
 	fs.Float64Var(&o.seconds, "seconds", 10, "measurement time per run")
 	fs.IntVar(&o.trace, "trace", 0, "1 adds the traced replay and prints the per-layer metrics")
@@ -61,7 +61,7 @@ func parseFlags(args []string, stderr io.Writer) (options, error) {
 		return o, fmt.Errorf("unexpected arguments %v", fs.Args())
 	}
 	if _, ok := workloads[o.workload]; !ok {
-		return o, fmt.Errorf("unknown workload %q (want one of %v)", o.workload, workloadNames(false))
+		return o, fmt.Errorf("unknown workload %q (want one of %v)", o.workload, workloadNames())
 	}
 	if o.seconds <= 0 || math.IsInf(o.seconds, 0) || math.IsNaN(o.seconds) {
 		return o, fmt.Errorf("--seconds must be positive")
@@ -97,7 +97,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	res, spans, err := workloads[o.workload].run(ctx, e)
+	res, spans, err := workloads[o.workload](ctx, e)
 	if err != nil {
 		fmt.Fprintln(stderr, "sweepbench:", err)
 		return 1
@@ -126,6 +126,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	fmt.Fprintf(stdout, "%s\n%s\n", hostLine, line)
+	if !res.Correct {
+		fmt.Fprintf(stderr, "sweepbench: %d of %d operations failed\n", res.Failed, res.Attempted)
+		return 1
+	}
 	return 0
 }
 
@@ -242,13 +246,11 @@ func metricSet(defs []metricDef, values map[string]float64) map[string]metric {
 	return out
 }
 
-// workloadNames lists the workloads, all of them or only the gated ones.
-func workloadNames(gatedOnly bool) []string {
+// workloadNames lists the workloads in name order.
+func workloadNames() []string {
 	var names []string
-	for n, w := range workloads {
-		if w.gated || !gatedOnly {
-			names = append(names, n)
-		}
+	for n := range workloads {
+		names = append(names, n)
 	}
 	sort.Strings(names)
 	return names

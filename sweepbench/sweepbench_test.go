@@ -13,6 +13,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/dse"
 	"repro/internal/serve"
@@ -124,7 +125,7 @@ func testRecords(t *testing.T, n int) ([]dse.Point, []dse.Record) {
 }
 
 // TestTallyCountsCorruptedAndDroppedRecords checks the per-run gate on the
-// record sets the grids and fleet-merge hash: a corrupted, a dropped, an
+// record sets bishop-grid and the fleet merge hash: a corrupted, a dropped, an
 // unexpected and a duplicated record each count as one failure.
 func TestTallyCountsCorruptedAndDroppedRecords(t *testing.T) {
 	points, recs := testRecords(t, 4)
@@ -211,6 +212,57 @@ func TestStreamedJobCountsCorruptedAndDroppedRecords(t *testing.T) {
 	}
 }
 
+// TestFailedJobsCountAsSlowest checks that a rejected job worsens the
+// latency percentiles instead of leaving the sample: it counts as having
+// waited the whole phase, longer than every job that succeeded.
+func TestFailedJobsCountAsSlowest(t *testing.T) {
+	points, recs := testRecords(t, 3)
+	exp := &expect{points: points}
+	exp.adopt(recordLines(recs))
+	var body bytes.Buffer
+	for _, r := range recs {
+		body.Write(recordLine(r))
+		body.WriteByte('\n')
+	}
+	var mu sync.Mutex
+	posts := 0
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			mu.Lock()
+			posts++
+			n := posts
+			mu.Unlock()
+			if n == 2 {
+				http.Error(w, "queue full", http.StatusTooManyRequests)
+				return
+			}
+			w.WriteHeader(http.StatusAccepted)
+			json.NewEncoder(w).Encode(serve.JobStatus{ID: fmt.Sprintf("%016x", n)})
+			return
+		}
+		time.Sleep(20 * time.Millisecond)
+		w.Write(body.Bytes())
+	}))
+	defer srv.Close()
+	var jobs []replayJob
+	for i := 0; i < 3; i++ {
+		jobs = append(jobs, replayJob{at: time.Duration(i) * 30 * time.Millisecond,
+			spec: dse.SweepSpec{Space: baselineSpace()}, want: []int{0, 1, 2}})
+	}
+	res := replayLoad(context.Background(), &env{procs: 1}, &daemon{srv: srv}, jobs, exp, nil)
+	if res.failed != 1 || res.rejected != 1 {
+		t.Fatalf("failed %d, rejected %d; want 1 and 1", res.failed, res.rejected)
+	}
+	if got, want := res.latency[1], ms(res.window); got != want {
+		t.Errorf("rejected job latency %.3f ms, want the phase's %.3f ms", got, want)
+	}
+	for _, i := range []int{0, 2} {
+		if res.latency[i] >= res.latency[1] {
+			t.Errorf("job %d latency %.3f ms not below the rejected job's %.3f ms", i, res.latency[i], res.latency[1])
+		}
+	}
+}
+
 // TestMetricNamesMatchBenchmarkJSON checks that BENCHMARK.json declares
 // exactly the metrics the benchmark prints, and that a real run of each
 // mode prints exactly those.
@@ -245,8 +297,8 @@ func TestMetricNamesMatchBenchmarkJSON(t *testing.T) {
 		names = append(names, w.Name)
 	}
 	slices.Sort(names)
-	if gated := workloadNames(true); !slices.Equal(names, gated) {
-		t.Errorf("BENCHMARK.json workloads = %v, benchmark gates %v", names, gated)
+	if have := workloadNames(); !slices.Equal(names, have) {
+		t.Errorf("BENCHMARK.json workloads = %v, benchmark runs %v", names, have)
 	}
 
 	if testing.Short() {

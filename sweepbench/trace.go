@@ -29,8 +29,12 @@ type tracer struct {
 
 func newTracer() *tracer { return &tracer{epoch: time.Now()} }
 
-// begin opens a span under parent (-1 for a root) and returns its id.
+// begin opens a span under parent (-1 for a root) and returns its id. A nil
+// tracer records nothing, so the same replay runs traced and untraced.
 func (t *tracer) begin(name string, parent int) int {
+	if t == nil {
+		return -1
+	}
 	now := time.Since(t.epoch)
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -40,6 +44,9 @@ func (t *tracer) begin(name string, parent int) int {
 
 // end closes span id.
 func (t *tracer) end(id int) {
+	if t == nil {
+		return
+	}
 	now := time.Since(t.epoch)
 	t.mu.Lock()
 	defer t.mu.Unlock()

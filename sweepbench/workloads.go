@@ -16,35 +16,25 @@ import (
 	"repro/internal/workload"
 )
 
-// workloadDef runs one workload and returns its result line and, for a
-// traced run, the spans to dump. Gated workloads are the ones BENCHMARK.json
-// lists.
-type workloadDef struct {
-	run   func(ctx context.Context, e *env) (result, *tracer, error)
-	gated bool
-}
-
-// baseline-grid and fleet-merge spend most of their time in per-record
-// fsyncs, whose latency on a shared virtual disk swings by 2x between runs
-// minutes apart, so no run length makes them steady enough to gate. They
-// stay runnable by hand, and serve-replay's traced run replays their layers.
-var workloads = map[string]workloadDef{
-	"bishop-grid":   {run: gridWorkload("bishop-grid", bishopSpace(), true), gated: true},
-	"baseline-grid": {run: gridWorkload("baseline-grid", baselineSpace(), false)},
-	"serve-replay":  {run: runServeReplay, gated: true},
-	"fleet-merge":   {run: runFleetMerge},
+// workloads maps each workload BENCHMARK.json lists to its run: the result
+// line and, for a traced run, the spans to dump. The baseline grid and the
+// fleet merge are not workloads of their own: serve-replay's traced run
+// replays them, so their layers are still measured.
+var workloads = map[string]func(ctx context.Context, e *env) (result, *tracer, error){
+	"bishop-grid":  runBishopGrid,
+	"serve-replay": runServeReplay,
 }
 
 // setupReps is how many times a run builds its workload state; setup_s is
 // the median, and the last state is the one measured.
-const setupReps = 3
+const setupReps = 5
 
-// job is one unit of measured work: a sweep, a merge or an HTTP job.
+// job is one closed-loop sweep, measured or replayed.
 type job struct {
-	wall    time.Duration // due (closed loop: call) → last record
+	wall    time.Duration // call → last record
 	first   time.Duration // call → first record
 	records int
-	cost    usage // closed loops only: CPU and allocation of this job alone
+	cost    usage // CPU and allocation of this sweep alone
 }
 
 // measurement accumulates a run's jobs, failures and layer counters.
@@ -91,15 +81,15 @@ func (m *measurement) closedLoop(setup []float64) map[string]float64 {
 	}
 }
 
-// recordRate is the median records/s over jobs.
-func (m *measurement) recordRate() float64 {
-	var rate []float64
+// secsPerRecord is the median over jobs of wall time per record.
+func (m *measurement) secsPerRecord() float64 {
+	var per []float64
 	for _, j := range m.jobs {
 		if j.records > 0 {
-			rate = append(rate, float64(j.records)/j.wall.Seconds())
+			per = append(per, j.wall.Seconds()/float64(j.records))
 		}
 	}
-	return median(rate)
+	return median(per)
 }
 
 // finish builds the result line from the measured phase (and, when traced,
@@ -196,9 +186,9 @@ func replaySetup(e *env, t *tracer) (int, error) {
 }
 
 // layerValues turns the traced run's spans into the per-layer metrics.
-// records is the number of records the traced phase evaluated; rates are
-// the untraced and traced records/s behind trace.overhead_frac.
-func layerValues(t *tracer, records int, untraced, traced float64, counters map[string]float64) map[string]float64 {
+// records is the number of records the traced phase evaluated; overhead is
+// trace.overhead_frac.
+func layerValues(t *tracer, records int, overhead float64, counters map[string]float64) map[string]float64 {
 	s := t.summarize()
 	get := func(name string) layerStats {
 		if st := s[name]; st != nil {
@@ -237,14 +227,21 @@ func layerValues(t *tracer, records int, untraced, traced float64, counters map[
 		"serve.cache_load_p90_us":      us(get("serve.cache_load").pct(0.9)),
 		"serve.submit_p90_ms":          ms(get("serve.submit").pct(0.9)),
 		"serve.stream_p90_ms":          ms(get("serve.stream").pct(0.9)),
-	}
-	if untraced > 0 {
-		v["trace.overhead_frac"] = (untraced - traced) / untraced
+		"trace.overhead_frac":          overhead,
 	}
 	for k, c := range counters {
 		v[k] = c
 	}
 	return v
+}
+
+// overheadFrac is the cost tracing adds to the same work, as a share of its
+// untraced cost; costs are per record.
+func overheadFrac(untraced, traced float64) float64 {
+	if untraced <= 0 {
+		return 0
+	}
+	return (traced - untraced) / untraced
 }
 
 // outOfOrder counts checkpoint lines whose record index is below an index
