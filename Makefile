@@ -8,7 +8,7 @@ GO ?= go
 # uploadable locations and local runs find under $(SMOKE_DIR)).
 SMOKE_DIR ?= .smoke
 
-.PHONY: build test race bench bench-json bench-gate bench-baseline dse-smoke backend-smoke trace-smoke serve-smoke fleet-smoke search-smoke smoke-clean fmt fmt-check vet lint ci
+.PHONY: build test race bench bench-json bench-gate bench-baseline sweepbench-check dse-smoke backend-smoke trace-smoke serve-smoke fleet-smoke search-smoke smoke-clean fmt fmt-check vet lint ci
 
 build:
 	$(GO) build ./...
@@ -47,8 +47,10 @@ bench-json:
 
 # Benchmark-regression gate (cmd/benchdiff): re-measure the hot-path
 # benchmarks — SIMD kernel dispatch, spike-driven GEMM, steady-state
-# simulator — with -count=$(BENCH_GATE_COUNT) and compare against the
-# committed baseline, failing on >10% ns/op growth or any allocs/op growth.
+# simulator, the 120-point Bishop sweep — with -count=$(BENCH_GATE_COUNT)
+# and compare against the committed baseline, failing on >10% ns/op growth
+# or allocs/op growth beyond $(BENCH_ALLOC_THRESHOLD) (any whole allocation
+# on a zero-alloc benchmark).
 # benchdiff takes the minimum across the repeated counts (noise floor) and
 # -normalize divides out machine-speed differences through the pure-Go
 # kernel reference, so the gate tracks code, not hosts. Refresh the
@@ -56,7 +58,7 @@ bench-json:
 # shifts these numbers (or adds/renames a gated benchmark) and commit the
 # result alongside the change.
 BENCH_BASELINE ?= bench/baseline.json
-BENCH_GATE_PKGS = ./internal/spike ./internal/snn ./internal/accel
+BENCH_GATE_PKGS = ./internal/spike ./internal/snn ./internal/accel ./internal/dse
 # min-of-5: the AVX-512 kernels speed up over the first few runs as the
 # core's vector-frequency license warms, so too few counts under-reports
 # the steady-state floor and flags phantom regressions.
@@ -64,18 +66,23 @@ BENCH_GATE_COUNT ?= 5
 # Time-based samples: 100ms of iterations per measurement keeps the
 # fast (~250ns) kernels far above the timer noise floor that fixed small
 # iteration counts would sit in, while the multi-ms simulator benchmark
-# still finishes promptly.
-BENCH_GATE_SEL = -run='^$$' -bench='Kernel|Dispatched|LinearForwardSpikes|SimulatorSteadyState' \
+# and the sweep (one sweep per sample) still finish promptly.
+BENCH_GATE_SEL = -run='^$$' -bench='Kernel|Dispatched|LinearForwardSpikes|SimulatorSteadyState|SweepBishopGrid' \
 	-benchtime=100ms -count=$(BENCH_GATE_COUNT) -benchmem
 # The reference tolerates go test's -GOMAXPROCS name suffix, so the bare
 # name works on any host.
 BENCH_NORMALIZE ?= BenchmarkKernelCount/go
+# Every gated benchmark but the sweep allocates nothing, and any whole
+# allocation there still fails. The sweep's ~7.3k allocs/op move by a few
+# between runs with GC timing (sync.Pool refills in fmt and encoding/json,
+# seen even with one worker); 0.1% absorbs that.
+BENCH_ALLOC_THRESHOLD = 0.001
 bench-gate:
 	@mkdir -p $(SMOKE_DIR)
 	@$(GO) test -json $(BENCH_GATE_SEL) $(BENCH_GATE_PKGS) > $(SMOKE_DIR)/bench-head.json || \
 		{ echo "bench-gate measurement failed; last events:" >&2; \
 		  tail -40 $(SMOKE_DIR)/bench-head.json >&2; exit 1; }
-	$(GO) run ./cmd/benchdiff -threshold 0.10 -normalize '$(BENCH_NORMALIZE)' \
+	$(GO) run ./cmd/benchdiff -threshold 0.10 -alloc-threshold $(BENCH_ALLOC_THRESHOLD) -normalize '$(BENCH_NORMALIZE)' \
 		$(BENCH_BASELINE) $(SMOKE_DIR)/bench-head.json
 
 bench-baseline:
@@ -84,6 +91,20 @@ bench-baseline:
 		{ echo "bench-baseline measurement failed" >&2; rm -f $(BENCH_BASELINE).tmp; exit 1; }
 	@mv $(BENCH_BASELINE).tmp $(BENCH_BASELINE)
 	@echo "wrote $(BENCH_BASELINE)"
+
+# Benchmark API guard: sweepbench is its own module (replace repro => ../)
+# driving the sweep path through the program's public functions. Building
+# it and running its tests with sweepbench/run.sh's environment makes a
+# refactor that drops a function the benchmark calls fail here rather than
+# in a benchmark run. Everything it writes stays under .bench_build/.
+SWEEPBENCH_OUT = $(CURDIR)/.bench_build
+SWEEPBENCH_ENV = GOCACHE=$(SWEEPBENCH_OUT)/gocache GOPATH=$(SWEEPBENCH_OUT)/gopath \
+	GOTMPDIR=$(SWEEPBENCH_OUT)/tmp TMPDIR=$(SWEEPBENCH_OUT)/tmp GOENV=off \
+	GOFLAGS=-mod=mod GOTOOLCHAIN=local GOPROXY=off GOWORK=off
+sweepbench-check:
+	@mkdir -p $(SWEEPBENCH_OUT)/tmp
+	$(SWEEPBENCH_ENV) $(GO) -C sweepbench build -o $(SWEEPBENCH_OUT)/sweepbench .
+	$(SWEEPBENCH_ENV) $(GO) -C sweepbench test .
 
 # Tiny end-to-end DSE sweep (2 shapes x 2 ECP settings) through cmd/dse:
 # exercises sweep -> checkpoint -> frontier and fails if the frontier JSON
@@ -326,4 +347,4 @@ vet:
 lint:
 	$(GO) run ./cmd/bishoplint ./...
 
-ci: build fmt-check vet lint race bench bench-gate dse-smoke backend-smoke trace-smoke serve-smoke fleet-smoke search-smoke
+ci: build fmt-check vet lint race bench bench-gate sweepbench-check dse-smoke backend-smoke trace-smoke serve-smoke fleet-smoke search-smoke

@@ -209,14 +209,22 @@ func Compare(base, head map[string]Result, th Thresholds, normalizeRef string) (
 		rep.Scale = b.NsPerOp / h.NsPerOp
 	}
 
+	// Streams pair up by gate key, so a baseline recorded at one
+	// GOMAXPROCS compares against a head run at any other.
+	headByGate := make(map[string]Result, len(head))
+	for _, h := range head {
+		headByGate[h.gateKey()] = h
+	}
+	baseGates := make(map[string]bool, len(base))
 	keys := make([]string, 0, len(base))
-	for k := range base {
+	for k, b := range base {
 		keys = append(keys, k)
+		baseGates[b.gateKey()] = true
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
 		b := base[k]
-		h, ok := head[k]
+		h, ok := headByGate[b.gateKey()]
 		if !ok {
 			rep.MissingKeys = append(rep.MissingKeys, k)
 			continue
@@ -236,8 +244,8 @@ func Compare(base, head map[string]Result, th Thresholds, normalizeRef string) (
 		}
 		rep.Deltas = append(rep.Deltas, d)
 	}
-	for k := range head {
-		if _, ok := base[k]; !ok {
+	for k, h := range head {
+		if !baseGates[h.gateKey()] {
 			rep.NewKeys = append(rep.NewKeys, k)
 		}
 	}
@@ -264,6 +272,18 @@ func findByName(m map[string]Result, name, stream string) (Result, error) {
 	default:
 		return Result{}, fmt.Errorf("benchcmp: reference benchmark %q ambiguous in %s stream (%d packages)", name, stream, len(found))
 	}
+}
+
+// gateKey is Key without go test's -GOMAXPROCS name suffix (absent when
+// GOMAXPROCS=1).
+func (r Result) gateKey() string {
+	name := r.Name
+	if i := strings.LastIndexByte(name, '-'); i > 0 {
+		if _, err := strconv.Atoi(name[i+1:]); err == nil {
+			name = name[:i]
+		}
+	}
+	return r.Pkg + " " + name
 }
 
 // procSuffixed reports whether got is want plus a "-N" GOMAXPROCS suffix.

@@ -202,3 +202,35 @@ func TestFindByNameProcSuffix(t *testing.T) {
 		t.Fatal("explicit wrong suffix must not resolve")
 	}
 }
+
+// TestCompareAcrossProcSuffixes pins that a baseline recorded without
+// go test's -GOMAXPROCS suffix and a head run carrying one (and the
+// reverse) pair up benchmark by benchmark instead of reporting every entry
+// missing and new.
+func TestCompareAcrossProcSuffixes(t *testing.T) {
+	stream := func(suffix string, slowerAllocs float64) map[string]Result {
+		return asMap(
+			mk("p", "BenchmarkRef"+suffix, 1000, 0),
+			mk("p", "BenchmarkKernel/go"+suffix, 5000, 0),
+			mk("p", "BenchmarkSlower"+suffix, 5000, slowerAllocs),
+		)
+	}
+	for _, tc := range []struct {
+		name       string
+		base, head map[string]Result
+	}{
+		{"bare base, -2 head", stream("", 0), stream("-2", 1)},
+		{"-2 base, bare head", stream("-2", 0), stream("", 1)},
+	} {
+		rep, err := Compare(tc.base, tc.head, Thresholds{NsFrac: 0.10}, "BenchmarkRef")
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if len(rep.Deltas) != 3 || len(rep.MissingKeys) != 0 || len(rep.NewKeys) != 0 {
+			t.Fatalf("%s: %d compared, missing %v, new %v", tc.name, len(rep.Deltas), rep.MissingKeys, rep.NewKeys)
+		}
+		if regs := rep.Regressions(); len(regs) != 1 || !strings.Contains(regs[0].Key, "BenchmarkSlower") {
+			t.Fatalf("%s: regressions %+v, want the allocs/op growth on BenchmarkSlower only", tc.name, regs)
+		}
+	}
+}

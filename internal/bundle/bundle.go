@@ -176,13 +176,7 @@ func (tg *Tags) SpikesPerFeatureInto(dst []int) []int {
 // features whose bundle in that row is active. This is the quantity ECP
 // compares against the pruning threshold θ_p (§5.1).
 func (tg *Tags) ActivePerRow() []int {
-	return tg.ActivePerRowInto(nil)
-}
-
-// ActivePerRowInto is ActivePerRow writing into dst (resized and reused
-// when capacity allows).
-func (tg *Tags) ActivePerRowInto(dst []int) []int {
-	out := resizeInts(dst, tg.NBt*tg.NBn)
+	out := make([]int, tg.NBt*tg.NBn)
 	for b := range out {
 		base := b * tg.D
 		for d := 0; d < tg.D; d++ {
@@ -258,21 +252,30 @@ func Stratify(tg *Tags, theta int) StratifyResult {
 // StratifyInto is Stratify reusing the scratch buffers and the index
 // slices already held by res.
 func StratifyInto(tg *Tags, theta int, sc *StratifyScratch, res *StratifyResult) {
-	*res = StratifyResult{
-		Theta: theta, BundlesPerFeat: tg.NBt * tg.NBn,
-		Dense: res.Dense[:0], Sparse: res.Sparse[:0],
-	}
 	sc.active = tg.ActivePerFeatureInto(sc.active)
 	sc.spikes = tg.SpikesPerFeatureInto(sc.spikes)
-	for d := 0; d < tg.D; d++ {
-		if sc.active[d] > theta {
+	StratifyCounts(sc.active, sc.spikes, tg.NBt*tg.NBn, theta, res)
+}
+
+// StratifyCounts is the counts-based core of Alg. 1: feature d goes to the
+// dense set when active[d], its column's active-bundle count, exceeds θ_s.
+// spikes[d] is the column's spike count and bundlesPerFeat the number of
+// bundles in every column. Callers holding precomputed per-feature counts
+// stratify through it without re-tagging; res's index slices are reused.
+func StratifyCounts(active, spikes []int, bundlesPerFeat, theta int, res *StratifyResult) {
+	*res = StratifyResult{
+		Theta: theta, BundlesPerFeat: bundlesPerFeat,
+		Dense: res.Dense[:0], Sparse: res.Sparse[:0],
+	}
+	for d, a := range active {
+		if a > theta {
 			res.Dense = append(res.Dense, d)
-			res.DenseSpikes += sc.spikes[d]
-			res.DenseBundles += sc.active[d]
+			res.DenseSpikes += spikes[d]
+			res.DenseBundles += a
 		} else {
 			res.Sparse = append(res.Sparse, d)
-			res.SparseSpikes += sc.spikes[d]
-			res.SparseBundles += sc.active[d]
+			res.SparseSpikes += spikes[d]
+			res.SparseBundles += a
 		}
 	}
 }
@@ -312,29 +315,32 @@ func StratifyForSplit(tg *Tags, targetDenseFrac float64) StratifyResult {
 	return res
 }
 
-// StratifyForSplitInto is StratifyForSplit reusing scratch buffers. The
-// per-feature counts are sorted ascending (a non-boxing slices.Sort) and
-// indexed from the top, which selects the exact θ of the descending-order
-// formulation: the k-th most active feature's count sits at sorted[len-k].
+// StratifyForSplitInto is StratifyForSplit reusing scratch buffers.
 func StratifyForSplitInto(tg *Tags, targetDenseFrac float64, sc *StratifyScratch, res *StratifyResult) {
-	sc.sorted = tg.ActivePerFeatureInto(sc.sorted)
+	sc.active = tg.ActivePerFeatureInto(sc.active)
+	sc.spikes = tg.SpikesPerFeatureInto(sc.spikes)
+	sc.sorted = append(sc.sorted[:0], sc.active...)
 	slices.Sort(sc.sorted)
-	n := len(sc.sorted)
+	StratifyCounts(sc.active, sc.spikes, tg.NBt*tg.NBn, SplitTheta(sc.sorted, targetDenseFrac), res)
+}
+
+// SplitTheta returns the θ_s of the §6.5.1 balancing rule, the threshold
+// that routes approximately targetDenseFrac of the features to the dense
+// core, given the per-feature active-bundle counts sorted ascending. The
+// counts are indexed from the top, which selects the exact θ of the
+// descending-order formulation: the k-th most active feature's count sits
+// at sorted[len-k].
+func SplitTheta(sorted []int, targetDenseFrac float64) int {
+	n := len(sorted)
 	k := int(targetDenseFrac*float64(n) + 0.5)
-	var theta int
 	switch {
 	case k <= 0:
-		theta = sc.sorted[n-1] // nothing dense
+		return sorted[n-1] // nothing dense
 	case k >= n:
-		theta = -1 // everything dense
-	default:
-		theta = sc.sorted[n-k] - 1
-		if theta < 0 {
-			// Zero-activity feature columns never justify dense-core slots:
-			// keep them on the sparse side even when the target asks for
-			// more dense features than there are active ones.
-			theta = 0
-		}
+		return -1 // everything dense
 	}
-	StratifyInto(tg, theta, sc, res)
+	// Zero-activity feature columns never justify dense-core slots: keep
+	// them on the sparse side even when the target asks for more dense
+	// features than there are active ones.
+	return max(sorted[n-k]-1, 0)
 }

@@ -44,48 +44,18 @@ func frac(a, b int) float64 {
 	return float64(a) / float64(b)
 }
 
-// ECPScratch holds the tag, row-statistic, and keep-mask buffers of one
-// ECP application so steady-state simulation loops can prune without
-// allocating. The masks returned by PruneInto alias this scratch and stay
-// valid until the next PruneInto call.
-type ECPScratch struct {
-	tags         Tags
-	nab          []int
-	qKeep, kKeep [][]bool
-	qBits, kBits []bool
-}
-
-// resizeMask returns a T×N keep-mask whose rows view a single backing
-// slice, reusing both levels when capacity allows. All bits start false.
-func resizeMask(rows [][]bool, backing []bool, t, n int) ([][]bool, []bool) {
-	if cap(backing) < t*n {
-		backing = make([]bool, t*n)
-	} else {
-		backing = backing[:t*n]
-		for i := range backing {
-			backing[i] = false
-		}
-	}
-	if cap(rows) < t {
-		rows = make([][]bool, t)
-	} else {
-		rows = rows[:t]
-	}
-	for i := range rows {
-		rows[i] = backing[i*n : (i+1)*n]
-	}
-	return rows, backing
-}
-
 // pruneRows computes the keep-mask for one tensor given a threshold: bundle
 // row (bt, bn) survives iff n_ab ≥ theta. The mask is expanded to (t, n)
-// token granularity for the attention computation.
-func pruneRows(s *spike.Tensor, sh Shape, theta int, sc *ECPScratch, rows [][]bool, backing []bool) (keep [][]bool, bits []bool, rowsKept, rowsTotal, tokKept int) {
-	sc.tags.Retag(s, sh)
-	tg := &sc.tags
-	sc.nab = tg.ActivePerRowInto(sc.nab)
-	nab := sc.nab
-	keep, bits = resizeMask(rows, backing, s.T, s.N)
+// token granularity for the attention computation; its rows view a single
+// backing slice.
+func pruneRows(s *spike.Tensor, sh Shape, theta int) (keep [][]bool, rowsKept, rowsTotal, tokKept int) {
+	tg := Tag(s, sh)
+	nab := tg.ActivePerRow()
+	bits := make([]bool, s.T*s.N)
+	keep = make([][]bool, s.T)
+	for t := range keep {
+		keep[t] = bits[t*s.N : (t+1)*s.N]
+	}
 	for bt := 0; bt < tg.NBt; bt++ {
 		for bn := 0; bn < tg.NBn; bn++ {
 			rowsTotal++
@@ -101,7 +71,7 @@ func pruneRows(s *spike.Tensor, sh Shape, theta int, sc *ECPScratch, rows [][]bo
 			}
 		}
 	}
-	return keep, bits, rowsKept, rowsTotal, tokKept
+	return keep, rowsKept, rowsTotal, tokKept
 }
 
 // Prune applies ECP to a spiking query/key pair and returns the token
@@ -109,23 +79,15 @@ func pruneRows(s *spike.Tensor, sh Shape, theta int, sc *ECPScratch, rows [][]bo
 // (the masks zero S rows/columns, which inferentially prunes V and Y per
 // Fig. 7).
 func (c ECPConfig) Prune(q, k *spike.Tensor) (qKeep, kKeep [][]bool, stats ECPStats) {
-	return c.PruneInto(q, k, &ECPScratch{})
-}
-
-// PruneInto is Prune reusing sc's buffers; the returned masks alias the
-// scratch and are valid until the next PruneInto call on the same scratch.
-func (c ECPConfig) PruneInto(q, k *spike.Tensor, sc *ECPScratch) (qKeep, kKeep [][]bool, stats ECPStats) {
 	sh := c.Shape
 	sh.validate()
-	var qrk, qrt, qtk int
-	sc.qKeep, sc.qBits, qrk, qrt, qtk = pruneRows(q, sh, c.ThetaQ, sc, sc.qKeep, sc.qBits)
-	var krk, krt, ktk int
-	sc.kKeep, sc.kBits, krk, krt, ktk = pruneRows(k, sh, c.ThetaK, sc, sc.kKeep, sc.kBits)
+	qKeep, qrk, qrt, qtk := pruneRows(q, sh, c.ThetaQ)
+	kKeep, krk, krt, ktk := pruneRows(k, sh, c.ThetaK)
 	stats = ECPStats{
 		QRowsKept: qrk, QRowsTotal: qrt, QTokensKept: qtk, QTokens: q.T * q.N,
 		KRowsKept: krk, KRowsTotal: krt, KTokensKept: ktk, KTokens: k.T * k.N,
 	}
-	return sc.qKeep, sc.kKeep, stats
+	return qKeep, kKeep, stats
 }
 
 // PruneFn adapts the config to the transformer.PruneFn signature, recording

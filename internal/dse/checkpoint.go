@@ -9,8 +9,9 @@ import (
 )
 
 // checkpoint is an append-only JSONL record store: one Record per line.
-// Appends happen record-by-record as evaluations complete, so a killed
-// sweep loses at most the in-flight points; a torn final line (the process
+// Appends happen record-by-record in enumeration order as evaluations
+// complete, so a killed sweep loses at most the in-flight points and those
+// finished after the earliest of them; a torn final line (the process
 // died mid-write) is tolerated on load and overwritten-by-append harmlessly
 // — the interrupted point simply re-evaluates on resume.
 type checkpoint struct {

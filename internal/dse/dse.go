@@ -147,6 +147,13 @@ func Evaluate(p Point, seed uint64) Record { return EvaluateAt(p, seed, 0) }
 // Evaluate's). Low-fidelity records carry the fidelity tag, so they can
 // never be mistaken for — or satisfy a resume of — a full evaluation.
 func EvaluateAt(p Point, seed uint64, fidelity int) Record {
+	return evaluate(p, seed, fidelity, accel.SimulateSeq)
+}
+
+// evaluate is EvaluateAt with the Bishop simulation supplied by the caller:
+// a sweep passes its shared statistics, EvaluateAt the standalone
+// accel.SimulateSeq. The record is the same either way.
+func evaluate(p Point, seed uint64, fidelity int, simulate func(*transformer.Trace, accel.Options) *hw.Report) Record {
 	if fidelity <= 1 {
 		fidelity = 0
 	}
@@ -159,7 +166,7 @@ func EvaluateAt(p Point, seed uint64, fidelity int) Record {
 	if p.Backend == nil {
 		opt := p.Opt
 		rec.Opt = &opt
-		rep = accel.SimulateSeq(tr, opt)
+		rep = simulate(tr, opt)
 	} else {
 		rec.Backend = p.Backend.Name()
 		data, err := p.Backend.EncodeOptions()
@@ -181,7 +188,8 @@ type Config struct {
 
 	// Checkpoint is the JSONL record file. Non-empty makes the sweep
 	// resumable: points whose digest already appears in the file are not
-	// re-evaluated, and every fresh evaluation is appended as it completes.
+	// re-evaluated, and fresh evaluations are appended in enumeration order
+	// as they complete.
 	Checkpoint string
 
 	// Shard i of Shards partitions the point set deterministically by
@@ -260,10 +268,11 @@ func (rs *ResultSet) ByDigest(p Point) (Record, bool) {
 }
 
 // Sweep evaluates the shard-assigned subset of points that is not already
-// checkpointed, appending each record to the checkpoint as it lands, and
-// returns the merged result set. On cancellation the records completed so
-// far are already durable in the checkpoint and the error is returned; a
-// later call with the same arguments resumes where the sweep stopped.
+// checkpointed, appending the records to the checkpoint in enumeration
+// order as they land, and returns the merged result set. On cancellation
+// the records completed so far are already durable in the checkpoint and
+// the error is returned; a later call with the same arguments resumes
+// where the sweep stopped.
 func Sweep(ctx context.Context, points []Point, cfg Config) (*ResultSet, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
@@ -321,22 +330,33 @@ func Sweep(ctx context.Context, points []Point, cfg Config) (*ResultSet, error) 
 		todo = append(todo, i)
 	}
 
+	// Records commit in todo order: a finished point waits for every
+	// earlier one, so a fresh sweep's checkpoint and record stream come out
+	// in enumeration order whatever order the workers finish in. sched
+	// starts items in index order and lets every started item finish, so a
+	// cancelled sweep still commits everything it evaluated.
 	var mu sync.Mutex
 	fresh := map[string]Record{}
+	finished, ready, next := make([]Record, len(todo)), make([]bool, len(todo)), 0
+	var stats sharedStats // dropped on return
 	err := sched.Map(ctx, len(todo), cfg.Jobs, func(k int) error {
 		i := todo[k]
-		rec := EvaluateAt(points[i], cfg.Seed, cfg.Fidelity)
+		rec := stats.evaluate(points[i], cfg.Seed, cfg.Fidelity)
 		rec.Index = i
 		mu.Lock()
 		defer mu.Unlock()
-		if ckpt != nil {
-			if werr := ckpt.Append(rec); werr != nil {
-				return werr
+		finished[k], ready[k] = rec, true
+		for ; next < len(todo) && ready[next]; next++ {
+			rec := finished[next]
+			if ckpt != nil {
+				if werr := ckpt.Append(rec); werr != nil {
+					return werr
+				}
 			}
-		}
-		fresh[rec.Digest] = rec
-		if cfg.OnRecord != nil {
-			cfg.OnRecord(rec)
+			fresh[rec.Digest] = rec
+			if cfg.OnRecord != nil {
+				cfg.OnRecord(rec)
+			}
 		}
 		return nil
 	})
@@ -382,4 +402,76 @@ func Merge(sets ...*ResultSet) *ResultSet {
 	}
 	sort.SliceStable(out.Records, func(a, b int) bool { return out.Records[a].Index < out.Records[b].Index })
 	return out
+}
+
+// sharedStats is one sweep's simulation state. The accel statistics of a
+// (trace, shape) pair do not depend on θ_s, the split target or the ECP θ,
+// so the first point to need a pair prepares it and every other point of the
+// sweep walks the same immutable value. Each evaluation borrows an idle
+// Simulator, so every sweep worker effectively owns one. Nothing is
+// allocated until a Bishop point is evaluated, so sweeps of cached or
+// PTB/GPU points pay nothing.
+type sharedStats struct {
+	mu       sync.Mutex
+	prepared map[statsKey]*preparedEntry
+	idle     []*accel.Simulator
+}
+
+type statsKey struct {
+	tr     *transformer.Trace
+	shapes accel.Shapes
+}
+
+type preparedEntry struct {
+	once sync.Once
+	p    *accel.Prepared
+}
+
+// onPrepare, when non-nil, observes every preparation a sweep makes (a
+// test hook).
+var onPrepare func(*transformer.Trace, accel.Shapes)
+
+func (s *sharedStats) evaluate(p Point, seed uint64, fidelity int) Record {
+	if p.Backend != nil {
+		return EvaluateAt(p, seed, fidelity)
+	}
+	var sim *accel.Simulator
+	s.mu.Lock()
+	if n := len(s.idle); n > 0 {
+		sim, s.idle = s.idle[n-1], s.idle[:n-1]
+	} else {
+		sim = new(accel.Simulator)
+	}
+	s.mu.Unlock()
+	rec := evaluate(p, seed, fidelity, func(tr *transformer.Trace, opt accel.Options) *hw.Report {
+		return sim.Simulate(s.prepare(sim, tr, opt), opt)
+	})
+	s.mu.Lock()
+	s.idle = append(s.idle, sim)
+	s.mu.Unlock()
+	return rec
+}
+
+// prepare returns the sweep's statistics for (tr, opt.Shapes()), computing
+// them on sim's scratch if this is the pair's first point; concurrent
+// askers wait for that one preparation.
+func (s *sharedStats) prepare(sim *accel.Simulator, tr *transformer.Trace, opt accel.Options) *accel.Prepared {
+	key := statsKey{tr, opt.Shapes()}
+	s.mu.Lock()
+	if s.prepared == nil {
+		s.prepared = map[statsKey]*preparedEntry{}
+	}
+	e := s.prepared[key]
+	if e == nil {
+		e = &preparedEntry{}
+		s.prepared[key] = e
+	}
+	s.mu.Unlock()
+	e.once.Do(func() {
+		if onPrepare != nil {
+			onPrepare(key.tr, key.shapes)
+		}
+		e.p = sim.Prepare(tr, opt)
+	})
+	return e.p
 }

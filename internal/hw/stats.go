@@ -28,29 +28,30 @@ type LinearStats struct {
 // binary input in and a DIn×DOut weight matrix, bundled under sh.
 func NewLinearStats(in *spike.Tensor, dout int, sh bundle.Shape) LinearStats {
 	var st LinearStats
-	st.Reset(in, dout, sh, &bundle.Tags{})
+	st.Fill(bundle.Tag(in, sh), dout)
 	return st
 }
 
-// Reset recomputes st for a new workload, reusing both its own per-feature
-// slices and the caller-held tag scratch — the zero-alloc form of
-// NewLinearStats for steady-state simulation loops. tg is left holding the
-// computed tags (callers feed it to the stratifier).
-func (st *LinearStats) Reset(in *spike.Tensor, dout int, sh bundle.Shape, tg *bundle.Tags) {
-	tg.Retag(in, sh)
-	st.T, st.N, st.DIn, st.DOut, st.Shape = in.T, in.N, in.D, dout, sh
+// Fill recomputes st from the input's bundle tags in one pass over the tag
+// counts, reusing st's per-feature slices: the form for callers that tag
+// the input themselves.
+func (st *LinearStats) Fill(tg *bundle.Tags, dout int) {
+	st.T, st.N, st.DIn, st.DOut, st.Shape = tg.T, tg.N, tg.D, dout, tg.Shape
 	st.B = tg.NBt * tg.NBn
-	st.ActivePerFeature = tg.ActivePerFeatureInto(st.ActivePerFeature)
-	st.SpikesPerFeature = tg.SpikesPerFeatureInto(st.SpikesPerFeature)
-	st.TotalSpikes = in.Count()
-	st.ActiveBundles = tg.ActiveBundles()
-	st.MaxSpikesPerBundle = resizeInts(st.MaxSpikesPerBundle, in.D)
+	st.ActivePerFeature = resizeInts(st.ActivePerFeature, tg.D)
+	st.SpikesPerFeature = resizeInts(st.SpikesPerFeature, tg.D)
+	st.MaxSpikesPerBundle = resizeInts(st.MaxSpikesPerBundle, tg.D)
+	st.TotalSpikes, st.ActiveBundles = 0, 0
 	for b := 0; b < st.B; b++ {
-		base := b * in.D
-		for d := 0; d < in.D; d++ {
-			if c := tg.Counts[base+d]; c > st.MaxSpikesPerBundle[d] {
-				st.MaxSpikesPerBundle[d] = c
+		for d, c := range tg.Counts[b*tg.D : (b+1)*tg.D] {
+			if c == 0 {
+				continue
 			}
+			st.ActivePerFeature[d]++
+			st.SpikesPerFeature[d] += c
+			st.MaxSpikesPerBundle[d] = max(st.MaxSpikesPerBundle[d], c)
+			st.TotalSpikes += c
+			st.ActiveBundles++
 		}
 	}
 }
@@ -62,9 +63,7 @@ func resizeInts(dst []int, n int) []int {
 		return make([]int, n)
 	}
 	dst = dst[:n]
-	for i := range dst {
-		dst[i] = 0
-	}
+	clear(dst)
 	return dst
 }
 

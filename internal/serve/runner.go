@@ -25,7 +25,7 @@ type RunOptions struct {
 
 	// OnRecord, when non-nil, observes every record the run contributes, as
 	// soon as it is known: cache hits first (before the sweep starts), then
-	// fresh evaluations in completion order. Records recovered from a spec
+	// fresh evaluations in enumeration order. Records recovered from a spec
 	// checkpoint are not streamed here — they surface in the final result
 	// set. Calls are serialized.
 	OnRecord func(dse.Record)
