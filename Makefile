@@ -8,13 +8,19 @@ GO ?= go
 # uploadable locations and local runs find under $(SMOKE_DIR)).
 SMOKE_DIR ?= .smoke
 
-.PHONY: build test race bench bench-json bench-gate bench-baseline sweepbench-check dse-smoke backend-smoke trace-smoke serve-smoke fleet-smoke search-smoke smoke-clean fmt fmt-check vet lint ci
+.PHONY: build test test-cpus race bench bench-json bench-gate bench-baseline sweepbench-check dse-smoke backend-smoke trace-smoke serve-smoke fleet-smoke search-smoke smoke-clean fmt fmt-check vet lint ci
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# The checkpoint-owning packages under several GOMAXPROCS values, twice
+# each, so a dependence on worker scheduling cannot hide behind one core
+# count.
+test-cpus:
+	$(GO) test -cpu 1,2,4 -count 2 ./internal/dse ./internal/serve ./internal/fleet
 
 # Full suite twice under the race detector: once with the default SIMD
 # kernel dispatch and once with BISHOP_NOSIMD=1 forcing the portable Go
@@ -119,27 +125,27 @@ dse-smoke:
 
 # Trace-store smoke: pack a tiny trace set, verify it, run a 2-shard
 # cmd/dse sweep against the shared -trace-dir (each shard must *hit* the
-# store, not regenerate), and check the sharded records are bit-identical
-# to an unsharded regenerate-per-process sweep. TRACE_DIR overrides the
-# store path (it is the uploaded artifact and survives cleanup).
+# store, not regenerate) with both shards writing one shared checkpoint,
+# and check that file is byte-identical to an unsharded
+# regenerate-per-process sweep's. TRACE_DIR overrides the store path (it is
+# the uploaded artifact and survives cleanup).
 TRACE_DIR ?= $(SMOKE_DIR)/traces
 trace-smoke:
 	@set -e; \
 	d=$(SMOKE_DIR)/trace; rm -rf $$d; mkdir -p $$d; \
 	$(GO) run ./cmd/trace pack -models 4 -bsa false,true -seed 1 -dir $(TRACE_DIR); \
 	$(GO) run ./cmd/trace verify $(TRACE_DIR)/*.btrc; \
-	out=$$($(GO) run ./cmd/dse -models 4 -bsa false,true -ecp 0,10 -trace-dir $(TRACE_DIR) -shard 0/2 -checkpoint $$d/shard0.jsonl); \
+	out=$$($(GO) run ./cmd/dse -models 4 -bsa false,true -ecp 0,10 -trace-dir $(TRACE_DIR) -shard 0/2 -checkpoint $$d/sharded.jsonl); \
 		echo "$$out" | grep -q 'trace store .*: [1-9][0-9]* hits' || \
 		{ echo "trace-smoke: shard 0 did not read the shared store" >&2; exit 1; }; \
-	out=$$($(GO) run ./cmd/dse -models 4 -bsa false,true -ecp 0,10 -trace-dir $(TRACE_DIR) -shard 1/2 -checkpoint $$d/shard1.jsonl); \
+	out=$$($(GO) run ./cmd/dse -models 4 -bsa false,true -ecp 0,10 -trace-dir $(TRACE_DIR) -shard 1/2 -checkpoint $$d/sharded.jsonl); \
 		echo "$$out" | grep -q 'trace store .*: [1-9][0-9]* hits' || \
 		{ echo "trace-smoke: shard 1 did not read the shared store" >&2; exit 1; }; \
 	$(GO) run ./cmd/dse -models 4 -bsa false,true -ecp 0,10 -checkpoint $$d/full.jsonl > /dev/null; \
-	sort $$d/shard0.jsonl $$d/shard1.jsonl > $$d/sharded.sorted; sort $$d/full.jsonl > $$d/unsharded.sorted; \
-	cmp -s $$d/sharded.sorted $$d/unsharded.sorted || \
-		{ echo "trace-smoke: shared-store shard records differ from the regenerating sweep" >&2; exit 1; }; \
+	cmp -s $$d/sharded.jsonl $$d/full.jsonl || \
+		{ echo "trace-smoke: shared-store sharded checkpoint differs from the regenerating sweep" >&2; exit 1; }; \
 	rm -rf $$d; \
-	echo "trace-smoke: 2-shard shared-store sweep bit-identical to regenerating sweep ($(TRACE_DIR))"
+	echo "trace-smoke: 2-shard shared-store checkpoint byte-identical to regenerating sweep ($(TRACE_DIR))"
 
 # Cross-backend smoke: a tiny -backends bishop,ptb,gpu sweep through cmd/dse
 # must collect records from every backend and emit a non-empty cross-backend
@@ -285,8 +291,7 @@ fleet-smoke:
 # 8,4,1` must (1) run at most half the full grid at full fidelity, (2)
 # resume from its checkpoint with zero fresh evaluations when re-run, and
 # (3) produce full-fidelity survivor records byte-identical to lines of a
-# plain grid sweep of the same space (compared as sorted line sets — the
-# checkpoint's append order under parallel evaluation is completion order).
+# plain grid sweep of the same space.
 # SEARCH_FRONTIER_OUT overrides the survivor-frontier artifact path.
 SEARCH_FRONTIER_OUT ?= $(SMOKE_DIR)/search-frontier.json
 SEARCH_SPACE = -models 4 -bsa false,true -shapes 4x2,2x2,1x2,4x4 -ecp 0,2,4,6,8,10 -stratify true,false
@@ -347,4 +352,4 @@ vet:
 lint:
 	$(GO) run ./cmd/bishoplint ./...
 
-ci: build fmt-check vet lint race bench bench-gate sweepbench-check dse-smoke backend-smoke trace-smoke serve-smoke fleet-smoke search-smoke
+ci: build fmt-check vet lint race test-cpus bench bench-gate sweepbench-check dse-smoke backend-smoke trace-smoke serve-smoke fleet-smoke search-smoke

@@ -12,10 +12,11 @@
 //
 // The search verb runs a saved successive-halving search spec (as written
 // by dse -print-spec in search mode) the same way: every rung of the
-// fidelity ladder is a fleet run of that rung's sweep, checkpointed to
-// <checkpoint>.r<divisor> per rung, and promotion happens on the
-// coordinator. A coordinator killed at any rung resumes from the rung
-// checkpoints with zero re-evaluation.
+// fidelity ladder is a fleet run of that rung's sweep, all rungs share the
+// one checkpoint, and promotion happens on the coordinator. A coordinator
+// killed at any rung resumes from the checkpoint with zero re-evaluation,
+// and the finished file is byte-identical to `dse -search search.json
+// -checkpoint out.jsonl` run on one machine.
 //
 // Usage:
 //
@@ -48,7 +49,7 @@ func main() {
 	fs := flag.NewFlagSet("bishopctl "+verb, flag.ExitOnError)
 	specPath := fs.String("spec", "", "saved spec (JSON, as written by dse -print-spec)")
 	workers := fs.String("workers", "", "comma-separated bishopd workers (host:port or http:// URLs)")
-	checkpoint := fs.String("checkpoint", "", "durable merged JSONL checkpoint (resumable; search appends .r<divisor> per rung)")
+	checkpoint := fs.String("checkpoint", "", "durable merged JSONL checkpoint (resumable; a search keeps every rung in it)")
 	shards := fs.Int("shards", 0, "shard count (0 = one per worker)")
 	leaseTTL := fs.Duration("lease-ttl", 30*time.Second, "silence budget per leased shard before it is re-leased")
 	timeout := fs.Duration("timeout", 10*time.Second, "per-request timeout against workers")

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/accel"
@@ -189,7 +188,10 @@ type Config struct {
 	// Checkpoint is the JSONL record file. Non-empty makes the sweep
 	// resumable: points whose digest already appears in the file are not
 	// re-evaluated, and fresh evaluations are appended in enumeration order
-	// as they complete.
+	// as they complete. A sweep that started from a non-empty file or
+	// adopted Preloaded records publishes the canonical file on success
+	// (CheckpointWriter.Publish), so the file holds the bytes a fresh,
+	// unsharded run writes, after the lines of other seeds and fidelities.
 	Checkpoint string
 
 	// Shard i of Shards partitions the point set deterministically by
@@ -216,8 +218,8 @@ type Config struct {
 	// Preloaded seeds the sweep with records that are already known — the
 	// serving layer's digest-addressed result cache. Records carrying the
 	// sweep's seed are adopted into the result set without re-evaluation,
-	// exactly like checkpoint records; they are not re-appended to the
-	// checkpoint (they are already durable wherever they came from).
+	// exactly like checkpoint records, and reach the checkpoint when the
+	// finished sweep publishes it.
 	Preloaded []Record
 
 	// OnRecord, when non-nil, observes every *fresh* evaluation right after
@@ -256,35 +258,29 @@ type ResultSet struct {
 // Complete reports whether every point of the set has a record.
 func (rs *ResultSet) Complete() bool { return len(rs.Records) == len(rs.Points) }
 
-// ByDigest returns the record for the given point, if present.
-func (rs *ResultSet) ByDigest(p Point) (Record, bool) {
-	key := digestKey(p)
-	for _, r := range rs.Records {
-		if r.Digest == key {
-			return r, true
-		}
-	}
-	return Record{}, false
-}
-
 // Sweep evaluates the shard-assigned subset of points that is not already
 // checkpointed, appending the records to the checkpoint in enumeration
 // order as they land, and returns the merged result set. On cancellation
 // the records completed so far are already durable in the checkpoint and
 // the error is returned; a later call with the same arguments resumes
-// where the sweep stopped.
+// where the sweep stopped. On success a checkpoint that is not already
+// canonical is published in the canonical order (see Config.Checkpoint).
 func Sweep(ctx context.Context, points []Point, cfg Config) (*ResultSet, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
 	done := map[string]Record{}
-	var ckpt *checkpoint
+	// canonical holds while the checkpoint is exactly what a fresh run
+	// appends: it started empty and nothing was adopted from elsewhere.
+	canonical := true
+	var ckpt *CheckpointWriter
 	if cfg.Checkpoint != "" {
 		var err error
-		if ckpt, err = openCheckpoint(cfg.Checkpoint); err != nil {
+		if ckpt, err = OpenCheckpointWriter(cfg.Checkpoint); err != nil {
 			return nil, err
 		}
 		defer ckpt.Close()
+		canonical = !ckpt.loaded
 		for _, r := range ckpt.Records() {
 			// A record from a different trace seed or fidelity describes a
 			// different experiment: never let it satisfy this sweep's points.
@@ -298,6 +294,7 @@ func Sweep(ctx context.Context, points []Point, cfg Config) (*ResultSet, error) 
 		// injected records are dropped and their points simply re-evaluate.
 		if r.Seed == cfg.Seed && r.valid() && r.Fidelity == cfg.Fidelity {
 			done[r.Digest] = r
+			canonical = false
 		}
 	}
 	var sel map[string]bool
@@ -376,32 +373,10 @@ func Sweep(ctx context.Context, points []Point, cfg Config) (*ResultSet, error) 
 		rec.Index = i
 		rs.Records = append(rs.Records, rec)
 	}
+	if err == nil && ckpt != nil && !canonical {
+		err = ckpt.Publish(rs.Records)
+	}
 	return rs, err
-}
-
-// Merge combines result sets from different shards (or checkpoint loads)
-// over the same point enumeration into one set in point order. Duplicate
-// digests collapse to a single record — evaluation is deterministic, so any
-// copy is the same record.
-func Merge(sets ...*ResultSet) *ResultSet {
-	if len(sets) == 0 {
-		return &ResultSet{}
-	}
-	byDigest := map[string]Record{}
-	for _, s := range sets {
-		for _, r := range s.Records {
-			byDigest[r.Digest] = r
-		}
-	}
-	out := &ResultSet{Points: sets[0].Points}
-	for i, p := range out.Points {
-		if rec, ok := byDigest[digestKey(p)]; ok {
-			rec.Index = i
-			out.Records = append(out.Records, rec)
-		}
-	}
-	sort.SliceStable(out.Records, func(a, b int) bool { return out.Records[a].Index < out.Records[b].Index })
-	return out
 }
 
 // sharedStats is one sweep's simulation state. The accel statistics of a

@@ -6,11 +6,10 @@ import (
 	"repro/internal/hw"
 )
 
-// This file is the merge/dedup surface the fleet coordinator builds on: an
-// exported checkpoint writer that can append verbatim record lines received
-// from workers (so the merged file is byte-identical to one a local sweep
-// would write), a strict single-line record parser, and a seed-scoped digest
-// deduper that absorbs the overlap re-leased shards inevitably re-deliver.
+// This file is the merge/dedup surface the fleet coordinator builds on next
+// to CheckpointWriter: a strict single-line record parser, and a
+// seed-scoped digest deduper that absorbs the overlap re-leased shards
+// inevitably re-deliver.
 
 // ParseRecordLine decodes one checkpoint-format line into a validated
 // Record. It applies exactly the per-line discipline checkpoint loading
@@ -30,42 +29,6 @@ func ParseRecordLine(line []byte) (Record, bool) {
 	}
 	return r, true
 }
-
-// CheckpointWriter is the exported form of the sweep checkpoint: an
-// append-only JSONL record store with the same durability contract (each
-// append is fsynced before returning; torn tail lines are tolerated on
-// load). The fleet coordinator uses it to merge record streams from many
-// workers into one file that is indistinguishable from a single-process
-// sweep checkpoint.
-type CheckpointWriter struct {
-	c *checkpoint
-}
-
-// OpenCheckpointWriter loads the existing records of path (if any) and opens
-// it for appending, creating it when absent.
-func OpenCheckpointWriter(path string) (*CheckpointWriter, error) {
-	c, err := openCheckpoint(path)
-	if err != nil {
-		return nil, err
-	}
-	return &CheckpointWriter{c: c}, nil
-}
-
-// Records returns the records recovered at open time.
-func (w *CheckpointWriter) Records() []Record { return w.c.Records() }
-
-// Append marshals and durably appends one record. The caller serializes
-// Append/AppendLine calls.
-func (w *CheckpointWriter) Append(rec Record) error { return w.c.Append(rec) }
-
-// AppendLine durably appends one checkpoint-format line verbatim (no
-// trailing newline in line). The caller is responsible for having validated
-// it with ParseRecordLine — appending worker-received bytes unmodified is
-// what keeps a fleet-merged checkpoint byte-identical to a local sweep's.
-func (w *CheckpointWriter) AppendLine(line []byte) error { return w.c.appendLine(line) }
-
-// Close closes the underlying file.
-func (w *CheckpointWriter) Close() error { return w.c.Close() }
 
 // Dedup is a seed- and fidelity-scoped record set keyed by point digest.
 // Add is the merge primitive for streams that re-deliver records — re-leased

@@ -174,10 +174,7 @@ func TestSweepCommitsInEnumerationOrder(t *testing.T) {
 	if err != nil || !rs.Complete() {
 		t.Fatalf("sweep: %v", err)
 	}
-	recs, err := LoadCheckpoint(ckpt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := loadCheckpoint(t, ckpt)
 	if len(recs) != len(points) || len(streamed) != len(points) {
 		t.Fatalf("%d checkpoint lines and %d streamed records for %d points", len(recs), len(streamed), len(points))
 	}

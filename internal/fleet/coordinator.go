@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"sort"
 	"sync"
 	"time"
@@ -23,11 +22,12 @@ type Config struct {
 	Workers []string
 	// Shards is the shard count (default: one per worker).
 	Shards int
-	// Checkpoint is the durable merged JSONL file. During the run it is an
-	// arrival-order log (resumable after a coordinator SIGKILL via the
-	// torn-tail-tolerant checkpoint loader); on completion it is compacted
-	// into enumeration order, byte-identical to an unsharded dse.Sweep
-	// checkpoint of the same spec.
+	// Checkpoint is the durable merged JSONL file, written through
+	// dse.CheckpointWriter. During the run it is an arrival-order log
+	// (resumable after a coordinator SIGKILL); on completion Publish puts it
+	// in the canonical order, byte-identical to an unsharded dse.Sweep
+	// checkpoint of the same spec. Lines of other seeds or fidelities (a
+	// search's other rungs) are kept.
 	Checkpoint string
 	// LeaseTTL is how long a leased shard may go without delivering a record
 	// before its holder is declared stalled and the shard re-leased
@@ -399,7 +399,7 @@ func Run(ctx context.Context, spec dse.SweepSpec, cfg Config) (Result, error) {
 	}
 
 	recs := c.dedup.Ordered(points)
-	if err := compactCheckpoint(cfg.Checkpoint, recs); err != nil {
+	if err := ckpt.Publish(recs); err != nil {
 		return Result{}, err
 	}
 	res := Result{
@@ -411,29 +411,6 @@ func Run(ctx context.Context, spec dse.SweepSpec, cfg Config) (Result, error) {
 		WorkerRecords: c.byWorker,
 	}
 	return res, nil
-}
-
-// compactCheckpoint atomically replaces the arrival-order merge log with the
-// enumeration-ordered record set — the exact bytes an unsharded dse.Sweep
-// checkpoint of the same spec holds.
-func compactCheckpoint(path string, recs []dse.Record) error {
-	tmp := path + ".compact"
-	w, err := dse.OpenCheckpointWriter(tmp)
-	if err != nil {
-		return err
-	}
-	for _, rec := range recs {
-		if err := w.Append(rec); err != nil {
-			_ = w.Close() // the append error wins; the temp file is removed next
-			os.Remove(tmp)
-			return err
-		}
-	}
-	if err := w.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
 }
 
 // Workers sorted for deterministic reporting.

@@ -1,9 +1,11 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -50,8 +52,9 @@ func TestRetryAfterParsing(t *testing.T) {
 // TestFleetSearch drives a successive-halving search across two real
 // workers: the ladder must prune 12 candidates to 6 full-fidelity
 // survivors, the survivor records must match an unsharded serve.Run of the
-// final rung's spec, and re-running the identical command must resume from
-// the per-rung checkpoints with zero re-evaluation.
+// final rung's spec, the checkpoint must be byte-identical to a local
+// search's, and re-running the identical command must resume from it with
+// zero re-evaluation.
 func TestFleetSearch(t *testing.T) {
 	spec := dse.SearchSpec{Space: fleetSpec().Space, Rungs: []int{8, 1}, Eta: 2}
 	var workers []string
@@ -94,7 +97,26 @@ func TestFleetSearch(t *testing.T) {
 		}
 	}
 
-	// The identical command resumes from <ck>.r8 and <ck>.r1 and evaluates
+	// The fleet's one checkpoint holds every rung, byte-identical to the
+	// file a local search of the same spec writes.
+	local := spec
+	local.Checkpoint = filepath.Join(t.TempDir(), "local.jsonl")
+	if _, err := dse.Search(context.Background(), local, nil); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(local.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("fleet search checkpoint (%d bytes) differs from the local search's (%d bytes)", len(got), len(want))
+	}
+
+	// The identical command resumes from the checkpoint and evaluates
 	// nothing anywhere in the ladder.
 	again, err := RunSearch(context.Background(), spec, cfg)
 	if err != nil {
@@ -114,7 +136,7 @@ func TestFleetSearch(t *testing.T) {
 }
 
 // TestFleetSearchRequiresCheckpoint pins the guard: promotion state lives in
-// the rung checkpoints, so a checkpoint-less fleet search is refused.
+// the checkpoint, so a checkpoint-less fleet search is refused.
 func TestFleetSearchRequiresCheckpoint(t *testing.T) {
 	if _, err := RunSearch(context.Background(),
 		dse.SearchSpec{Space: fleetSpec().Space}, Config{Workers: []string{"http://127.0.0.1:1"}}); err == nil {

@@ -5,11 +5,13 @@ import (
 )
 
 // storeScope is the set of packages that publish durable artifacts readers
-// may open concurrently: the digest-addressed trace store, the serve result
-// cache, DSE checkpoints, and the fleet merge log. A final path written in
-// place can be observed half-written; these packages must stage bytes in a
-// temp file, sync, and publish with an atomic rename.
+// may open concurrently: the atomic-publish helper itself, the
+// digest-addressed trace store, the serve result cache, DSE checkpoints, and
+// the fleet merge log. A final path written in place can be observed
+// half-written; these packages publish through atomicfile.Write, which
+// stages bytes in a temp file, syncs, and renames.
 var storeScope = []string{
+	"internal/atomicfile",
 	"internal/dse",
 	"internal/fleet",
 	"internal/serve",
@@ -17,11 +19,11 @@ var storeScope = []string{
 }
 
 // AtomicPublish forbids in-place writes of final paths in store/cache
-// packages: os.WriteFile and os.Create always (stage through os.CreateTemp
-// instead), and os.OpenFile with O_TRUNC (truncation destroys the previous
-// durable state before the new bytes are safe). Append-mode OpenFile is
-// fine — the checkpoint journal's torn-tail tolerance is a deliberate,
-// tested design.
+// packages: os.WriteFile and os.Create always (publish through
+// atomicfile.Write instead), and os.OpenFile with O_TRUNC (truncation
+// destroys the previous durable state before the new bytes are safe).
+// Append-mode OpenFile is fine — the checkpoint journal's torn-tail
+// tolerance is a deliberate, tested design.
 var AtomicPublish = &Analyzer{
 	Name:  "atomic-publish",
 	Doc:   "forbid in-place writes of final paths in store/cache packages; require temp+Sync+rename",
@@ -38,11 +40,11 @@ func runAtomicPublish(p *Pass) {
 			}
 			switch {
 			case p.pkgFunc(call, "os", "Create"):
-				p.Reportf(call.Pos(), "os.Create writes a final path in place in a store package; stage with os.CreateTemp, Sync, then os.Rename")
+				p.Reportf(call.Pos(), "os.Create writes a final path in place in a store package; publish through atomicfile.Write")
 			case p.pkgFunc(call, "os", "WriteFile"):
-				p.Reportf(call.Pos(), "os.WriteFile writes a final path in place in a store package; stage with os.CreateTemp, Sync, then os.Rename")
+				p.Reportf(call.Pos(), "os.WriteFile writes a final path in place in a store package; publish through atomicfile.Write")
 			case p.pkgFunc(call, "os", "OpenFile") && mentionsTrunc(call):
-				p.Reportf(call.Pos(), "os.OpenFile with O_TRUNC destroys the previous durable entry before the new one is safe; stage with os.CreateTemp, Sync, then os.Rename")
+				p.Reportf(call.Pos(), "os.OpenFile with O_TRUNC destroys the previous durable entry before the new one is safe; publish through atomicfile.Write")
 			}
 			return true
 		})

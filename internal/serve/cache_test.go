@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"os"
@@ -8,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/dse"
 )
 
 // TestCacheIgnoresStaleTempFiles pins crash robustness of the cache
@@ -137,5 +140,39 @@ func TestCacheCorruptOverwriteIsMissThenRepaired(t *testing.T) {
 		if strings.HasPrefix(e.Name(), ".tmp-") {
 			t.Errorf("racing writers leaked temp file %q", e.Name())
 		}
+	}
+}
+
+// TestCacheHitsReachCheckpoint: records served from the result cache land
+// in the run's checkpoint like fresh ones. Two runs sharing one cache write
+// byte-identical checkpoints, and a run mixing hits and misses writes the
+// file a cache-less run of the same spec writes.
+func TestCacheHitsReachCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	cache := &Cache{Dir: filepath.Join(dir, "cache")}
+	run := func(spec dse.SweepSpec, ckpt string, cache *Cache) []byte {
+		t.Helper()
+		spec.Checkpoint = filepath.Join(dir, ckpt)
+		if _, err := Run(context.Background(), spec, RunOptions{Cache: cache}); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(spec.Checkpoint)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+
+	spec := tinySpec()
+	cold := run(spec, "cold.jsonl", cache)
+	if warm := run(spec, "warm.jsonl", cache); !bytes.Equal(warm, cold) {
+		t.Fatalf("all-hit run wrote %d checkpoint bytes, the cold run %d", len(warm), len(cold))
+	}
+
+	wide := spec
+	wide.Space.ECPThetas = []int{0, 5, 10}
+	want := run(wide, "ref.jsonl", nil)
+	if mixed := run(wide, "mixed.jsonl", cache); !bytes.Equal(mixed, want) {
+		t.Fatalf("hit/miss run checkpoint differs from a cache-less run:\n%s\nwant:\n%s", mixed, want)
 	}
 }
