@@ -8,7 +8,7 @@ GO ?= go
 # uploadable locations and local runs find under $(SMOKE_DIR)).
 SMOKE_DIR ?= .smoke
 
-.PHONY: build test test-cpus race bench bench-json bench-gate bench-baseline sweepbench-check dse-smoke backend-smoke trace-smoke serve-smoke fleet-smoke search-smoke smoke-clean fmt fmt-check vet lint ci
+.PHONY: build test test-cpus fuzz-smoke race bench bench-json bench-gate bench-baseline sweepbench-check dse-smoke backend-smoke trace-smoke serve-smoke fleet-smoke search-smoke smoke-clean fmt fmt-check vet lint ci
 
 build:
 	$(GO) build ./...
@@ -21,6 +21,12 @@ test:
 # count.
 test-cpus:
 	$(GO) test -cpu 1,2,4 -count 2 ./internal/dse ./internal/serve ./internal/fleet
+
+# Ten seconds of coverage-guided fuzzing of the one options codec, over
+# every backend kind (decode∘encode identity, digest stable across the round
+# trip).
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeOptions$$' -fuzztime 10s ./internal/backend
 
 # Full suite twice under the race detector: once with the default SIMD
 # kernel dispatch and once with BISHOP_NOSIMD=1 forcing the portable Go
@@ -352,4 +358,4 @@ vet:
 lint:
 	$(GO) run ./cmd/bishoplint ./...
 
-ci: build fmt-check vet lint race test-cpus bench bench-gate sweepbench-check dse-smoke backend-smoke trace-smoke serve-smoke fleet-smoke search-smoke
+ci: build fmt-check vet lint race test-cpus fuzz-smoke bench bench-gate sweepbench-check dse-smoke backend-smoke trace-smoke serve-smoke fleet-smoke search-smoke

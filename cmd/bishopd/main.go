@@ -1,5 +1,5 @@
 // Command bishopd is the sweep-serving daemon: a long-running HTTP/JSON
-// service wrapping the DSE engine and the backend registry behind the
+// service wrapping the DSE engine and the backend table behind the
 // internal/serve API. Clients submit dse.SweepSpec documents — the same
 // spec type cmd/dse runs from flags or -spec files, executed by the same
 // runner — and get back digest-keyed jobs whose records stream as NDJSON in

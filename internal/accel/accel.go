@@ -15,9 +15,11 @@ package accel
 
 import (
 	"context"
+	"fmt"
 	"slices"
 
 	"repro/internal/bundle"
+	"repro/internal/canon"
 	"repro/internal/hw"
 	"repro/internal/hw/attention"
 	"repro/internal/hw/dense"
@@ -75,6 +77,45 @@ func (o *Options) normalize() {
 	if o.SplitTarget == 0 {
 		o.SplitTarget = 0.5
 	}
+}
+
+// Validate reports the first field of o the simulator cannot run, by name.
+// Zero Tech, Array, Shape and SplitTarget are legal: normalize treats them
+// as "use the default". The ECP shape has no default and must be valid.
+func (o Options) Validate() error {
+	if err := o.Tech.Validate("Options.Tech"); err != nil {
+		return err
+	}
+	if err := o.Array.Validate("Options.Array", false); err != nil {
+		return err
+	}
+	if o.Shape.BSt != 0 {
+		if err := o.Shape.Validate(); err != nil {
+			return fmt.Errorf("Options.Shape: %w", err)
+		}
+	}
+	if !(o.SplitTarget >= 0 && o.SplitTarget <= 1) {
+		return fmt.Errorf("Options.SplitTarget is %g, outside [0,1]", o.SplitTarget)
+	}
+	if e := o.ECP; e != nil {
+		if err := e.Shape.Validate(); err != nil {
+			return fmt.Errorf("Options.ECP.Shape: %w", err)
+		}
+		if e.ThetaQ < 0 || e.ThetaK < 0 {
+			return fmt.Errorf("Options.ECP thresholds are negative (ThetaQ %d, ThetaK %d)", e.ThetaQ, e.ThetaK)
+		}
+	}
+	return nil
+}
+
+// Digest returns a stable fingerprint of the *normalized* configuration:
+// the canon digest of its canonical encoding, never of raw input bytes, so
+// two JSON documents with reordered fields (or one spelling out the
+// defaults the other omits) digest identically; any change to an effective
+// knob changes it. The ECP config is digested by value, not by pointer.
+func (o Options) Digest() uint64 {
+	o.normalize()
+	return canon.Digest(o)
 }
 
 // Shapes identifies the statistics a Prepared value holds: the TTB shape

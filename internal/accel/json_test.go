@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/bundle"
+	"repro/internal/canon"
 )
 
 func sampleOptions() Options {
@@ -18,11 +19,11 @@ func sampleOptions() Options {
 
 func TestOptionsJSONRoundTrip(t *testing.T) {
 	for _, opt := range []Options{DefaultOptions(), sampleOptions(), {}} {
-		data, err := EncodeOptions(opt)
+		data, err := canon.Encode(opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := DecodeOptions(data)
+		out, err := canon.Decode[Options](data)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,8 +39,8 @@ func TestDecodeOptionsRejectsUnknownFields(t *testing.T) {
 		`{"ECP": {"Shape": {"BSt":4,"BSn":2}, "Theta": 6}}`, // nested typo
 		`{"Stratify": true} true`,
 	} {
-		if _, err := DecodeOptions([]byte(c)); err == nil {
-			t.Errorf("DecodeOptions(%q) must fail", c)
+		if _, err := canon.Decode[Options]([]byte(c)); err == nil {
+			t.Errorf("decode Options %q must fail", c)
 		}
 	}
 }
@@ -50,11 +51,11 @@ func TestDigestStableAcrossFieldOrdering(t *testing.T) {
 	// computed from the normalized struct, never from raw bytes.
 	a := `{"Stratify": true, "ThetaS": 3, "Shape": {"BSt": 2, "BSn": 4}}`
 	b := `{"Shape": {"BSn": 4, "BSt": 2}, "ThetaS": 3, "Stratify": true}`
-	oa, err := DecodeOptions([]byte(a))
+	oa, err := canon.Decode[Options]([]byte(a))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ob, err := DecodeOptions([]byte(b))
+	ob, err := canon.Decode[Options]([]byte(b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,39 +108,4 @@ func TestDigestIgnoresECPPointerIdentity(t *testing.T) {
 	if a.Digest() != b.Digest() {
 		t.Fatal("equal ECP configs behind distinct pointers must digest equally")
 	}
-}
-
-func FuzzDecodeOptions(f *testing.F) {
-	for _, opt := range []Options{DefaultOptions(), sampleOptions()} {
-		data, err := EncodeOptions(opt)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(string(data))
-	}
-	f.Add(`{"Stratify": true}`)
-	f.Add(`{"ECP": null}`)
-	f.Add(`[]`)
-	f.Fuzz(func(t *testing.T, data string) {
-		opt, err := DecodeOptions([]byte(data))
-		if err != nil {
-			return
-		}
-		// decode∘encode is the identity on the codec's image, and the
-		// digest of the re-decoded value is stable.
-		enc, err := EncodeOptions(opt)
-		if err != nil {
-			t.Fatalf("decoded options do not re-encode: %v", err)
-		}
-		opt2, err := DecodeOptions(enc)
-		if err != nil {
-			t.Fatalf("re-encoded options do not decode: %v", err)
-		}
-		if !reflect.DeepEqual(opt, opt2) {
-			t.Fatalf("decode∘encode not identity:\n%+v\n%+v", opt, opt2)
-		}
-		if opt.Digest() != opt2.Digest() {
-			t.Fatal("digest unstable across round trip")
-		}
-	})
 }

@@ -18,6 +18,8 @@ func testTrace(t testing.TB) *transformer.Trace {
 	return workload.CachedTrace(cfg, workload.Scenarios()[4], workload.TraceOptions{}, 1)
 }
 
+// TestRegistryNames pins the fixed backend table: its sorted names, and
+// the error an unknown name gets.
 func TestRegistryNames(t *testing.T) {
 	names := Names()
 	for _, want := range []string{BishopName, GPUName, PTBName} {
@@ -31,27 +33,6 @@ func TestRegistryNames(t *testing.T) {
 	if _, err := Default("nope"); err == nil || !strings.Contains(err.Error(), `unknown backend "nope"`) {
 		t.Fatalf("unknown name must error with the registered list: %v", err)
 	}
-}
-
-func TestRegisterRejectsDuplicatesAndNils(t *testing.T) {
-	mustPanic := func(name string, f Factory) {
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s: Register must panic", name)
-			}
-		}()
-		Register(f)
-	}
-	ok := Factory{Name: BishopName,
-		Default: func() Backend { return Bishop{} },
-		Decode:  func([]byte) (Backend, error) { return Bishop{}, nil }}
-	mustPanic("duplicate", ok)
-	bad := ok
-	bad.Name = ""
-	mustPanic("empty name", bad)
-	bad = ok
-	bad.Name, bad.Decode = "fresh", nil
-	mustPanic("nil decode", bad)
 }
 
 // TestDefaultsSimulate ties every builtin backend to the package it wraps:
@@ -136,4 +117,65 @@ func TestDigestsDistinct(t *testing.T) {
 	if FoldName(1, "ptb") == FoldName(1, "gpu") {
 		t.Fatal("FoldName must separate names")
 	}
+}
+
+// unrunnable are options documents the simulators cannot run: each must
+// fail decoding with an error naming the field, never reach a simulator.
+var unrunnable = []struct {
+	name, doc, field string
+}{
+	{BishopName, `{"Array":{"DensePEs":-4}}`, "Options.Array.DensePEs"},
+	{BishopName, `{"Shape":{"BSt":4,"BSn":-2}}`, "Options.Shape"},
+	{BishopName, `{"Tech":{"ClockHz":5e8}}`, "Options.Tech.DRAMBandwidth"},
+	{PTBName, `{"Array":{"DensePEs":512}}`, "Options.Array.DenseCols"},
+	{PTBName, `{"Tech":{"ClockHz":-1}}`, "Options.Tech.ClockHz"},
+}
+
+func TestDecodeRejectsUnrunnableOptions(t *testing.T) {
+	for _, tc := range unrunnable {
+		if _, err := Decode(tc.name, []byte(tc.doc)); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("Decode(%s, %s) = %v, want an error naming %s", tc.name, tc.doc, err, tc.field)
+		}
+	}
+}
+
+// FuzzDecodeOptions fuzzes the options codec of every backend kind: on
+// whatever decodes, decode∘encode is the identity and the digest survives
+// the round trip.
+func FuzzDecodeOptions(f *testing.F) {
+	for i, k := range kinds {
+		data, err := k.def.EncodeOptions()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(uint8(i), data)
+	}
+	for _, tc := range unrunnable {
+		for i, k := range kinds {
+			if k.name == tc.name {
+				f.Add(uint8(i), []byte(tc.doc))
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, i uint8, data []byte) {
+		k := kinds[int(i)%len(kinds)]
+		b, err := Decode(k.name, data)
+		if err != nil {
+			return
+		}
+		enc, err := b.EncodeOptions()
+		if err != nil {
+			t.Fatalf("%s: decoded options do not re-encode: %v", k.name, err)
+		}
+		b2, err := Decode(k.name, enc)
+		if err != nil {
+			t.Fatalf("%s: re-encoded options do not decode: %v", k.name, err)
+		}
+		if !reflect.DeepEqual(b, b2) {
+			t.Fatalf("%s: decode∘encode not identity:\n%+v\n%+v", k.name, b, b2)
+		}
+		if b.Digest() != b2.Digest() {
+			t.Fatalf("%s: digest unstable across the round trip", k.name)
+		}
+	})
 }

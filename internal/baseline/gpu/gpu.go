@@ -9,6 +9,9 @@
 package gpu
 
 import (
+	"fmt"
+
+	"repro/internal/canon"
 	"repro/internal/hw"
 	"repro/internal/transformer"
 )
@@ -55,6 +58,35 @@ func (o *Options) normalize() {
 	if o.PowerW <= 0 {
 		o.PowerW = def.PowerW
 	}
+}
+
+// Validate reports the first non-finite or negative field of o by name
+// ("Options.PeakFLOPS is NaN"). Zero fields are legal: normalize treats
+// them as "use the default".
+func (o Options) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"PeakFLOPS", o.PeakFLOPS}, {"BandwidthBps", o.BandwidthBps},
+		{"Utilization", o.Utilization}, {"KernelOverhead", o.KernelOverhead},
+		{"PowerW", o.PowerW},
+	} {
+		if s := hw.NonFinite(f.v); s != "" {
+			return fmt.Errorf("Options.%s is %s", f.name, s)
+		}
+		if f.v < 0 {
+			return fmt.Errorf("Options.%s is negative (%g)", f.name, f.v)
+		}
+	}
+	return nil
+}
+
+// Digest returns a stable fingerprint of the *normalized* configuration,
+// following the accel.Options.Digest conventions.
+func (o Options) Digest() uint64 {
+	o.normalize()
+	return canon.Digest(o)
 }
 
 // Simulate estimates end-to-end latency/energy of the traced model on the

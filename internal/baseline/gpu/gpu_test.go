@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/accel"
+	"repro/internal/canon"
 	"repro/internal/transformer"
 	"repro/internal/workload"
 )
@@ -121,18 +122,18 @@ func TestValidateNamedErrors(t *testing.T) {
 
 func TestOptionsCodecAndDigest(t *testing.T) {
 	o := DefaultOptions()
-	data, err := EncodeOptions(o)
+	data, err := canon.Encode(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecodeOptions(data)
+	back, err := canon.Decode[Options](data)
 	if err != nil || back != o {
 		t.Fatalf("round trip: %v, %+v", err, back)
 	}
-	if _, err := DecodeOptions([]byte(`{"PeakFLOPS":1,"Typo":2}`)); err == nil {
+	if _, err := canon.Decode[Options]([]byte(`{"PeakFLOPS":1,"Typo":2}`)); err == nil {
 		t.Fatal("unknown field must reject")
 	}
-	if _, err := DecodeOptions([]byte(`{"PowerW":-1}`)); err == nil ||
+	if _, err := canon.Decode[Options]([]byte(`{"PowerW":-1}`)); err == nil ||
 		!strings.Contains(err.Error(), "Options.PowerW is negative") {
 		t.Fatalf("negative field must reject by name: %v", err)
 	}
@@ -142,7 +143,7 @@ func TestOptionsCodecAndDigest(t *testing.T) {
 	if (Options{}).Digest() != DefaultOptions().Digest() {
 		t.Fatal("zero options must digest as the defaults")
 	}
-	reordered, err := DecodeOptions([]byte(
+	reordered, err := canon.Decode[Options]([]byte(
 		`{"PowerW":10,"PeakFLOPS":472e9,"Utilization":0.07,"KernelOverhead":30e-6,"BandwidthBps":25.6e9}`))
 	if err != nil {
 		t.Fatal(err)

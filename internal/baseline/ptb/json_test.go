@@ -3,26 +3,28 @@ package ptb
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/canon"
 )
 
 func TestOptionsCodecRoundTrip(t *testing.T) {
 	o := DefaultOptions()
 	o.TimeWindow = 7
-	data, err := EncodeOptions(o)
+	data, err := canon.Encode(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecodeOptions(data)
+	back, err := canon.Decode[Options](data)
 	if err != nil || back != o {
 		t.Fatalf("round trip: %v, %+v", err, back)
 	}
-	if _, err := DecodeOptions([]byte(`{"TimeWindow":10,"Typo":1}`)); err == nil {
+	if _, err := canon.Decode[Options]([]byte(`{"TimeWindow":10,"Typo":1}`)); err == nil {
 		t.Fatal("unknown field must reject")
 	}
-	if _, err := DecodeOptions([]byte(`{"TimeWindow":10} trailing`)); err == nil {
+	if _, err := canon.Decode[Options]([]byte(`{"TimeWindow":10} trailing`)); err == nil {
 		t.Fatal("trailing data must reject")
 	}
-	if _, err := DecodeOptions([]byte(`{"OutLanes":-1}`)); err == nil ||
+	if _, err := canon.Decode[Options]([]byte(`{"OutLanes":-1}`)); err == nil ||
 		!strings.Contains(err.Error(), "Options.OutLanes is negative") {
 		t.Fatalf("negative lanes must reject by name: %v", err)
 	}
@@ -35,11 +37,11 @@ func TestOptionsDigestStable(t *testing.T) {
 		t.Fatal("zero options must digest as the defaults")
 	}
 	// Field-order stability: a reordered document decodes to the same digest.
-	canonical, err := EncodeOptions(DefaultOptions())
+	canonical, err := canon.Encode(DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	reordered, err := DecodeOptions([]byte(`{"OutLanes":64,"TimeWindow":10}`))
+	reordered, err := canon.Decode[Options]([]byte(`{"OutLanes":64,"TimeWindow":10}`))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,8 +13,10 @@
 package ptb
 
 import (
+	"fmt"
 	"math/bits"
 
+	"repro/internal/canon"
 	"repro/internal/hw"
 	"repro/internal/hw/memory"
 	"repro/internal/hw/spikegen"
@@ -50,6 +52,33 @@ func (o *Options) normalize() {
 	if o.OutLanes <= 0 {
 		o.OutLanes = 64
 	}
+}
+
+// Validate reports the first field of o the model cannot run, by name: an
+// invalid Tech or array, or a negative lane count. Zero fields are legal —
+// normalize treats them as "use the default" — and PTB's homogeneous array
+// has no sparse or attention core to provision.
+func (o Options) Validate() error {
+	if err := o.Tech.Validate("Options.Tech"); err != nil {
+		return err
+	}
+	if err := o.Array.Validate("Options.Array", true); err != nil {
+		return err
+	}
+	if o.TimeWindow < 0 {
+		return fmt.Errorf("Options.TimeWindow is negative (%d)", o.TimeWindow)
+	}
+	if o.OutLanes < 0 {
+		return fmt.Errorf("Options.OutLanes is negative (%d)", o.OutLanes)
+	}
+	return nil
+}
+
+// Digest returns a stable fingerprint of the *normalized* configuration,
+// following the accel.Options.Digest conventions.
+func (o Options) Digest() uint64 {
+	o.normalize()
+	return canon.Digest(o)
 }
 
 // Simulate runs a trace through the PTB model.

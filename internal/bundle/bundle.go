@@ -43,9 +43,22 @@ var DefaultShape = Shape{BSt: 4, BSn: 2}
 // Volume returns BSt·BSn, the number of spatiotemporal slots per bundle.
 func (s Shape) Volume() int { return s.BSt * s.BSn }
 
+// maxDim bounds each bundle dimension, so bundle counts and volumes stay
+// far inside int.
+const maxDim = 1 << 16
+
+// Validate reports a shape the tagger cannot run: a dimension outside
+// 1–2^16.
+func (s Shape) Validate() error {
+	if s.BSt < 1 || s.BSn < 1 || s.BSt > maxDim || s.BSn > maxDim {
+		return fmt.Errorf("bundle: invalid shape %+v: BSt and BSn must be in 1–2^16", s)
+	}
+	return nil
+}
+
 func (s Shape) validate() {
-	if s.BSt <= 0 || s.BSn <= 0 {
-		panic(fmt.Sprintf("bundle: invalid shape %+v", s))
+	if err := s.Validate(); err != nil {
+		panic(err.Error())
 	}
 }
 

@@ -56,7 +56,7 @@ type Record struct {
 	Groups     map[string]hw.Result `json:"groups"`
 }
 
-// BackendName returns the registry name of the record's backend ("bishop"
+// BackendName returns the table name of the record's backend ("bishop"
 // for the canonical empty tag).
 func (r Record) BackendName() string {
 	if r.Backend == "" {
@@ -86,7 +86,7 @@ func (r Record) Point() Point {
 }
 
 // valid reports whether a decoded checkpoint record is self-consistent —
-// bishop records carry their Options, non-bishop records carry a decodable
+// bishop records carry valid Options, non-bishop records carry a decodable
 // options document — canonicalizing an explicitly spelled bishop tag (and
 // an explicit fidelity 1, which means full fidelity) along the way. Invalid
 // lines are skipped on load and simply re-evaluate.
@@ -99,7 +99,7 @@ func (r *Record) valid() bool {
 	}
 	switch r.Backend {
 	case "", backend.BishopName:
-		if r.Opt == nil {
+		if r.Opt == nil || r.Opt.Validate() != nil {
 			return false
 		}
 		r.Backend, r.BackendOpt = "", nil
@@ -111,7 +111,7 @@ func (r *Record) valid() bool {
 }
 
 // Valid reports whether a decoded record is self-consistent (bishop records
-// carry their Options, non-bishop records a decodable options document),
+// carry valid Options, non-bishop records a decodable options document),
 // canonicalizing an explicit bishop tag in place. The serving layer's result
 // cache uses it to reject corrupt or stale cache entries.
 func (r *Record) Valid() bool { return r.valid() }

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/accel"
 	"repro/internal/bundle"
+	"repro/internal/hw"
 	"repro/internal/transformer"
 	"repro/internal/workload"
 )
@@ -66,6 +67,10 @@ func TestSpaceValidate(t *testing.T) {
 		{Shapes: []bundle.Shape{{BSt: 0, BSn: 2}}},
 		{SplitTargets: []float64{1.5}},
 		{ECPThetas: []int{-2}},
+		{Arrays: []hw.ArrayConfig{hw.BishopArray(), {DensePEs: -4}}},
+		{Arrays: []hw.ArrayConfig{hw.PTBArray()}}, // no sparse or attention core
+		{Techs: []hw.Tech{{ClockHz: 5e8}}},        // no DRAM bandwidth
+		{Techs: []hw.Tech{{ClockHz: -1}}},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Fatalf("space %+v must not validate", bad)

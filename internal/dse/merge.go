@@ -3,7 +3,7 @@ package dse
 import (
 	"fmt"
 
-	"repro/internal/hw"
+	"repro/internal/canon"
 )
 
 // This file is the merge/dedup surface the fleet coordinator builds on next
@@ -21,7 +21,7 @@ func ParseRecordLine(line []byte) (Record, bool) {
 		return Record{}, false
 	}
 	var r Record
-	if err := hw.DecodeStrict(line, &r); err != nil {
+	if err := canon.DecodeStrict(line, &r); err != nil {
 		return Record{}, false
 	}
 	if !r.valid() {

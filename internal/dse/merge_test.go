@@ -46,6 +46,8 @@ func TestParseRecordLine(t *testing.T) {
 		[]byte(`{"index":0`),            // torn tail
 		[]byte(`{"index":0,"bogus":1}`), // unknown field
 		[]byte(`{"index":0,"digest":"ff","model":4,"bsa":false,"seed":1,"latency_ms":1,"energy_mj":1,"edp":1,"total":{},"group_order":null,"groups":null}`), // bishop record without options
+		// bishop options the simulator cannot run
+		[]byte(`{"index":0,"digest":"ff","model":4,"bsa":false,"seed":1,"opt":{"Array":{"DensePEs":-4}},"latency_ms":1,"energy_mj":1,"edp":1,"total":{},"group_order":null,"groups":null}`),
 	} {
 		if _, ok := ParseRecordLine(bad); ok {
 			t.Errorf("ParseRecordLine(%q) accepted", bad)

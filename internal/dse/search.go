@@ -7,7 +7,7 @@ import (
 	"slices"
 	"sort"
 
-	"repro/internal/hw"
+	"repro/internal/canon"
 )
 
 // This file is the successive-halving / multi-fidelity search driver. A
@@ -155,24 +155,14 @@ func (s SearchSpec) RungSpec(i int, survivors []string) SweepSpec {
 }
 
 // Digest fingerprints the result identity of the search, following the
-// SweepSpec conventions exactly: FNV-1a over the canonical JSON of the
-// normalized spec with the execution attachments (Checkpoint, TraceDir,
-// Jobs) cleared. The daemon keys search jobs on it.
+// SweepSpec conventions exactly: the canon digest of the normalized spec
+// with the execution attachments (Checkpoint, TraceDir, Jobs) cleared. The
+// daemon keys search jobs on it.
 func (s SearchSpec) Digest() uint64 {
 	c := s.Normalized()
 	c.Space = c.Space.normalized()
 	c.Checkpoint, c.TraceDir, c.Jobs = "", "", 0
-	data, err := json.Marshal(c)
-	if err != nil {
-		panic(fmt.Sprintf("dse: SearchSpec not marshalable: %v", err)) // unreachable: all fields are plain values
-	}
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
-	for _, b := range data {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	return h
+	return canon.Digest(c)
 }
 
 // ID renders the spec digest the way the daemon names jobs: %016x.
@@ -193,16 +183,7 @@ func EncodeSearchSpec(s SearchSpec) ([]byte, error) {
 
 // DecodeSearchSpec parses and validates a search document, rejecting
 // unknown fields anywhere in it and trailing data.
-func DecodeSearchSpec(data []byte) (SearchSpec, error) {
-	var s SearchSpec
-	if err := hw.DecodeStrict(data, &s); err != nil {
-		return SearchSpec{}, fmt.Errorf("dse: decode SearchSpec: %w", err)
-	}
-	if err := s.Validate(); err != nil {
-		return SearchSpec{}, err
-	}
-	return s, nil
-}
+func DecodeSearchSpec(data []byte) (SearchSpec, error) { return canon.Decode[SearchSpec](data) }
 
 // RungRunner executes one rung's sweep spec and returns its result set.
 // dse.Search drives every rung through one runner, which is how the serving

@@ -3,12 +3,12 @@
 // over accel.Options (array geometry, TTB volume, stratification threshold /
 // split target, ECP threshold, tech node) crossed with workload scenarios
 // (Table 2 model × ±BSA) and, since the backend refactor, with the
-// accelerator *backend* itself (Bishop, the PTB baseline, the edge GPU —
-// any registered backend.Backend); the engine enumerates grid or
-// seeded-random point sets, evaluates them in parallel on the sched worker
-// pool against cached synthetic traces, persists every evaluated point to a
-// resumable/shardable JSONL checkpoint, and extracts latency/energy/EDP
-// Pareto frontiers — including cross-accelerator frontiers.
+// accelerator *backend* itself (Bishop, the PTB baseline, the edge GPU);
+// the engine enumerates grid or seeded-random point sets, evaluates them in
+// parallel on the sched worker pool against cached synthetic traces,
+// persists every evaluated point to a resumable/shardable JSONL
+// checkpoint, and extracts latency/energy/EDP Pareto frontiers — including
+// cross-accelerator frontiers.
 package dse
 
 import (
@@ -53,7 +53,7 @@ func (p Point) canon() Point {
 	return p
 }
 
-// BackendName returns the registry name of the point's backend ("bishop"
+// BackendName returns the table name of the point's backend ("bishop"
 // when Backend is nil).
 func (p Point) BackendName() string {
 	p = p.canon()
@@ -127,8 +127,7 @@ type Space struct {
 
 	// Backends selects the accelerators to evaluate every workload on
 	// (default {"bishop"}). Bishop points cross the full Bishop axis set
-	// below; ptb and gpu points cross their own option axes; any other
-	// registered backend contributes its default configuration.
+	// below; ptb and gpu points cross their own option axes.
 	Backends []string `json:"backends,omitempty"`
 
 	Shapes       []bundle.Shape `json:"shapes,omitempty"`        // TTB volumes (default {bundle.DefaultShape})
@@ -187,8 +186,9 @@ func (s Space) normalized() Space {
 }
 
 // Validate reports an invalid axis value (models out of Table 2 range,
-// non-positive bundle shapes, unregistered backend names, invalid baseline
-// options) before a sweep burns time on it.
+// unknown backend names, and any shape, array, tech or baseline options the
+// simulators cannot run, by the rule each options type's Validate applies)
+// before a sweep burns time on it.
 func (s Space) Validate() error {
 	n := s.normalized()
 	zoo := len(transformer.ModelZoo())
@@ -203,8 +203,8 @@ func (s Space) Validate() error {
 		}
 	}
 	for _, sh := range n.Shapes {
-		if sh.BSt <= 0 || sh.BSn <= 0 {
-			return fmt.Errorf("dse: invalid TTB shape %+v", sh)
+		if err := sh.Validate(); err != nil {
+			return fmt.Errorf("dse: TTB %w", err)
 		}
 	}
 	for _, f := range n.SplitTargets {
@@ -215,6 +215,16 @@ func (s Space) Validate() error {
 	for _, th := range n.ECPThetas {
 		if th < 0 {
 			return fmt.Errorf("dse: negative ECP theta %d", th)
+		}
+	}
+	for i, a := range n.Arrays {
+		if err := a.Validate(fmt.Sprintf("arrays[%d]", i), false); err != nil {
+			return fmt.Errorf("dse: %w", err)
+		}
+	}
+	for i, t := range n.Techs {
+		if err := t.Validate(fmt.Sprintf("techs[%d]", i)); err != nil {
+			return fmt.Errorf("dse: %w", err)
 		}
 	}
 	for _, o := range n.PTB {
@@ -253,7 +263,8 @@ func makePoint(model int, bsa bool, sh bundle.Shape, stratify bool,
 }
 
 // backendPoints enumerates the configurations of one non-bishop backend for
-// a workload coordinate, in axis order.
+// a workload coordinate, in axis order. Validate rejects unknown names;
+// Grid and Sample on an unvalidated space simply skip them.
 func (s Space) backendPoints(model int, bsa bool, name string) []Point {
 	var pts []Point
 	switch name {
@@ -264,13 +275,6 @@ func (s Space) backendPoints(model int, bsa bool, name string) []Point {
 	case backend.GPUName:
 		for _, o := range s.GPU {
 			pts = append(pts, Point{Model: model, BSA: bsa, Backend: backend.GPU{Opt: o}})
-		}
-	default:
-		// A registered backend without a dedicated option axis contributes
-		// its default configuration (Validate rejects unregistered names;
-		// Grid and Sample on an unvalidated space simply skip them).
-		if b, err := backend.Default(name); err == nil {
-			pts = append(pts, Point{Model: model, BSA: bsa, Backend: b})
 		}
 	}
 	return pts

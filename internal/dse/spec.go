@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/hw"
+	"repro/internal/canon"
 )
 
 // SweepSpec is the canonical, serializable description of one sweep
@@ -17,9 +17,8 @@ import (
 // and both hand it to the same runner — so a sweep can be saved, replayed,
 // and submitted over the wire without any surface-specific translation.
 //
-// The JSON codec is strict (unknown fields reject, mirroring the
-// accel/ptb/gpu option codecs), so a typo'd axis name fails loudly instead
-// of silently sweeping the default space.
+// The JSON codec is canon's (unknown fields reject), so a typo'd axis name
+// fails loudly instead of silently sweeping the default space.
 type SweepSpec struct {
 	Space Space `json:"space"`
 
@@ -145,8 +144,7 @@ func (s SweepSpec) Config() Config {
 }
 
 // Digest fingerprints the *result identity* of the spec: which records a
-// run of it produces. Following the accel.Options.Digest conventions it is
-// a 64-bit FNV-1a over the canonical JSON encoding of the normalized spec —
+// run of it produces. It is the canon digest of the normalized spec —
 // the space with every default spelled out, seed and shards resolved — so
 // two spellings of the same sweep (defaults omitted vs. explicit, fields
 // reordered) digest identically. Execution attachments (Checkpoint,
@@ -157,17 +155,7 @@ func (s SweepSpec) Digest() uint64 {
 	c := s.Normalized()
 	c.Space = c.Space.normalized()
 	c.Checkpoint, c.TraceDir, c.Jobs = "", "", 0
-	data, err := json.Marshal(c)
-	if err != nil {
-		panic(fmt.Sprintf("dse: SweepSpec not marshalable: %v", err)) // unreachable: all fields are plain values
-	}
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
-	for _, b := range data {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	return h
+	return canon.Digest(c)
 }
 
 // ID renders the spec digest the way the daemon names jobs (and checkpoints
@@ -189,13 +177,4 @@ func EncodeSpec(s SweepSpec) ([]byte, error) {
 
 // DecodeSpec parses and validates a spec document, rejecting unknown fields
 // anywhere in it and trailing data.
-func DecodeSpec(data []byte) (SweepSpec, error) {
-	var s SweepSpec
-	if err := hw.DecodeStrict(data, &s); err != nil {
-		return SweepSpec{}, fmt.Errorf("dse: decode SweepSpec: %w", err)
-	}
-	if err := s.Validate(); err != nil {
-		return SweepSpec{}, err
-	}
-	return s, nil
-}
+func DecodeSpec(data []byte) (SweepSpec, error) { return canon.Decode[SweepSpec](data) }

@@ -4,7 +4,7 @@ package experiments
 // Fig. 11 (Model 4), Fig. 12, Fig. 13, and the §6.2 summary — at seed 1.
 // The cells were captured from the pre-backend-refactor implementation
 // (hand-written gpu.Simulate/ptb.Simulate/accel.Simulate calls in the PR 4
-// tree); routing these figures through the backend registry and the DSE
+// tree); routing these figures through the backend table and the DSE
 // evaluation pipeline must reproduce every cell exactly, the same treatment
 // Fig. 15/16 got when they moved onto the sweep engine in PR 3.
 //

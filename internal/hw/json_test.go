@@ -1,10 +1,13 @@
 package hw
 
 import (
+	"encoding/json"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/canon"
 )
 
 func sampleResult(k float64) Result {
@@ -32,12 +35,12 @@ func TestResultJSONRoundTrip(t *testing.T) {
 	// the codec must round-trip them bit-exactly anyway.
 	for _, k := range []float64{1, 3, 7.77, 1e-9, 1e12} {
 		in := sampleResult(k)
-		data, err := EncodeResult(in)
+		data, err := json.Marshal(in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := DecodeResult(data)
-		if err != nil {
+		var out Result
+		if err := canon.DecodeStrict(data, &out); err != nil {
 			t.Fatal(err)
 		}
 		if in != out {
@@ -51,12 +54,12 @@ func TestResultJSONRoundTrip(t *testing.T) {
 
 func TestReportJSONRoundTrip(t *testing.T) {
 	in := sampleReport()
-	data, err := EncodeReport(in)
+	data, err := json.Marshal(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := DecodeReport(data)
-	if err != nil {
+	out := &Report{}
+	if err := canon.DecodeStrict(data, out); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(in, out) {
@@ -74,132 +77,90 @@ func TestDecodeRejectsUnknownFields(t *testing.T) {
 		`{"Cycles": 1} {"Cycles": 2}`, // trailing value
 	}
 	for _, c := range cases {
-		if _, err := DecodeResult([]byte(c)); err == nil {
-			t.Errorf("DecodeResult(%q) must fail", c)
+		if err := canon.DecodeStrict([]byte(c), &Result{}); err == nil {
+			t.Errorf("decode Result %q must fail", c)
 		}
 	}
 	// Unknown fields are rejected even nested inside layers.
 	bad := `{"Name":"x","Layers":[{"Result":{"Cyclez":1}}]}`
-	if _, err := DecodeReport([]byte(bad)); err == nil {
-		t.Error("DecodeReport must reject unknown nested field")
-	}
-}
-
-func FuzzDecodeResult(f *testing.F) {
-	seed, err := EncodeResult(sampleResult(2))
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(string(seed))
-	f.Add(`{"Cycles": 12}`)
-	f.Add(`{"Cycles": -1, "EPE": 1e308}`)
-	f.Add(`{`)
-	f.Add(`null`)
-	f.Fuzz(func(t *testing.T, data string) {
-		r, err := DecodeResult([]byte(data))
-		if err != nil {
-			return
-		}
-		// Whatever decodes must re-encode and decode to the same value:
-		// decode∘encode is the identity on the codec's image.
-		enc, err := EncodeResult(r)
-		if err != nil {
-			t.Fatalf("decoded value does not re-encode: %v", err)
-		}
-		r2, err := DecodeResult(enc)
-		if err != nil {
-			t.Fatalf("re-encoded value does not decode: %v", err)
-		}
-		if r != r2 && !(math.IsNaN(r.EPE) || math.IsNaN(r.EGLB) || math.IsNaN(r.EDRAM) || math.IsNaN(r.EStatic)) {
-			t.Fatalf("decode∘encode not identity: %+v vs %+v", r, r2)
-		}
-	})
-}
-
-func FuzzDecodeReport(f *testing.F) {
-	seed, err := EncodeReport(sampleReport())
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(string(seed))
-	f.Add(`{"Name":"a","Layers":[]}`)
-	f.Add(`{"Layers":[{"Group":"P1"}]}`)
-	f.Fuzz(func(t *testing.T, data string) {
-		rep, err := DecodeReport([]byte(data))
-		if err != nil {
-			return
-		}
-		enc, err := EncodeReport(rep)
-		if err != nil {
-			t.Fatalf("decoded report does not re-encode: %v", err)
-		}
-		if _, err := DecodeReport(enc); err != nil {
-			t.Fatalf("re-encoded report does not decode: %v", err)
-		}
-	})
-}
-
-// TestEncodeNonFiniteNamesField pins the bugfix: a NaN/Inf in an encode no
-// longer surfaces as encoding/json's opaque "unsupported value" error — the
-// offending field is named.
-func TestEncodeNonFiniteNamesField(t *testing.T) {
-	r := sampleResult(1)
-	r.EGLB = math.NaN()
-	if _, err := EncodeResult(r); err == nil || !strings.Contains(err.Error(), "Result.EGLB is NaN") {
-		t.Fatalf("want named NaN field, got %v", err)
-	}
-	r.EGLB = math.Inf(1)
-	if _, err := EncodeResult(r); err == nil || !strings.Contains(err.Error(), "Result.EGLB is +Inf") {
-		t.Fatalf("want named +Inf field, got %v", err)
-	}
-
-	rep := sampleReport()
-	rep.Layers[0].Dense.EStatic = math.Inf(-1)
-	if _, err := EncodeReport(rep); err == nil ||
-		!strings.Contains(err.Error(), "Layers[0](blk0.Wq).Dense.EStatic is -Inf") {
-		t.Fatalf("want named layer field, got %v", err)
-	}
-
-	rep = sampleReport()
-	rep.Tech.PDRAM = math.NaN()
-	if _, err := EncodeReport(rep); err == nil || !strings.Contains(err.Error(), "Tech.PDRAM is NaN") {
-		t.Fatalf("want named tech field, got %v", err)
-	}
-
-	rep = sampleReport()
-	rep.Total.EDRAM = math.NaN()
-	if _, err := EncodeReport(rep); err == nil || !strings.Contains(err.Error(), "Total.EDRAM is NaN") {
-		t.Fatalf("want named total field, got %v", err)
-	}
-
-	if _, err := EncodeResult(sampleResult(2)); err != nil {
-		t.Fatalf("finite result must still encode: %v", err)
-	}
-	if _, err := EncodeReport(sampleReport()); err != nil {
-		t.Fatalf("finite report must still encode: %v", err)
+	if err := canon.DecodeStrict([]byte(bad), &Report{}); err == nil {
+		t.Error("decode Report must reject unknown nested field")
 	}
 }
 
 // TestDecodeRejectsNonFinite: strict decoding refuses values that would
-// materialize as non-finite floats (JSON itself cannot spell NaN/Inf, but
-// out-of-range literals and any future lenient parser path must not slip
-// through the explicit post-decode check).
+// materialize as non-finite floats (JSON itself cannot spell NaN/Inf), and
+// the explicit guard on the Tech constants names the field.
 func TestDecodeRejectsNonFinite(t *testing.T) {
-	if _, err := DecodeResult([]byte(`{"Cycles":1,"EPE":1e999,"EGLB":0,"EDRAM":0,"EStatic":0,"DRAMBytes":0,"GLBBytes":0,"OpsAcc":0,"OpsMul":0,"OpsAnd":0}`)); err == nil {
+	if err := canon.DecodeStrict([]byte(`{"Cycles":1,"EPE":1e999}`), &Result{}); err == nil {
 		t.Fatal("out-of-range literal must not decode")
 	}
-	// The explicit guard, unit-level.
-	r := sampleResult(1)
-	r.EPE = math.Inf(1)
-	if err := r.CheckFinite("Result"); err == nil || !strings.Contains(err.Error(), "Result.EPE is +Inf") {
+	tech := Default28nm()
+	tech.PDRAM = math.NaN()
+	if err := tech.CheckFinite("Tech"); err == nil || !strings.Contains(err.Error(), "Tech.PDRAM is NaN") {
 		t.Fatalf("CheckFinite: %v", err)
 	}
-	if err := sampleResult(1).CheckFinite("Result"); err != nil {
+	if err := Default28nm().CheckFinite("Tech"); err != nil {
 		t.Fatalf("finite CheckFinite: %v", err)
 	}
-	rep := sampleReport()
-	rep.Layers[1].Sparse.EPE = math.NaN()
-	if err := rep.CheckFinite(); err == nil || !strings.Contains(err.Error(), "Layers[1](blk0.attn).Sparse.EPE is NaN") {
-		t.Fatalf("report CheckFinite: %v", err)
+}
+
+// TestTechValidate pins the rule every options type applies to its Tech:
+// a zero clock means the default, anything else must run the cost models.
+func TestTechValidate(t *testing.T) {
+	if err := Default28nm().Validate("Tech"); err != nil {
+		t.Fatalf("default tech: %v", err)
+	}
+	if err := (Tech{}).Validate("Tech"); err != nil {
+		t.Fatalf("zero tech must mean the default: %v", err)
+	}
+	neg := Default28nm()
+	neg.EReg = -1
+	slow := Default28nm()
+	slow.ClockHz = 0.5
+	for _, tc := range []struct {
+		tech Tech
+		want string
+	}{
+		{Tech{ClockHz: 5e8}, "Tech.DRAMBandwidth is 0"},
+		{Tech{ClockHz: -1}, "Tech.ClockHz is negative"},
+		{Tech{ClockHz: 5e8, DRAMBandwidth: 1e300}, "Tech.DRAMBandwidth is 1e+300"},
+		{Tech{ClockHz: math.Inf(1)}, "Tech.ClockHz is +Inf"},
+		{neg, "Tech.EReg is negative (-1)"},
+		{slow, "Tech.ClockHz is 0.5, below 1 Hz"},
+	} {
+		if err := tc.tech.Validate("Tech"); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Validate(%+v) = %v, want %q", tc.tech, err, tc.want)
+		}
+	}
+}
+
+// TestArrayValidate pins the ArrayConfig rule: every count positive, except
+// the sparse and attention cores of a homogeneous array, and a zero
+// DensePEs meaning the default.
+func TestArrayValidate(t *testing.T) {
+	for _, ok := range []struct {
+		arr  ArrayConfig
+		homo bool
+	}{{BishopArray(), false}, {PTBArray(), true}, {ArrayConfig{}, false}, {ArrayConfig{DenseCols: -1}, true}} {
+		if err := ok.arr.Validate("Array", ok.homo); err != nil {
+			t.Errorf("Validate(%+v, %v): %v", ok.arr, ok.homo, err)
+		}
+	}
+	huge := BishopArray()
+	huge.SparseUnits = 1 << 40
+	for _, tc := range []struct {
+		arr  ArrayConfig
+		homo bool
+		want string
+	}{
+		{ArrayConfig{DensePEs: -4}, false, "Array.DensePEs is -4"},
+		{ArrayConfig{DensePEs: 512}, true, "Array.DenseCols is 0"},
+		{PTBArray(), false, "Array.SparseUnits is 0"},
+		{huge, false, "Array.SparseUnits is 1099511627776"},
+	} {
+		if err := tc.arr.Validate("Array", tc.homo); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Validate(%+v, %v) = %v, want %q", tc.arr, tc.homo, err, tc.want)
+		}
 	}
 }

@@ -6,7 +6,10 @@
 // extraction from traced spike tensors.
 package hw
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // Tech holds the technology and system constants of the evaluation setup
 // (§6.1): a commercial 28 nm process at 500 MHz with DDR4-2400 DRAM.
@@ -114,4 +117,112 @@ func PTBArray() ArrayConfig {
 		AttnPEs:     0,
 		SpikeLanes:  512, LanesPerUnit: 10,
 	}
+}
+
+// NonFinite classifies v for error messages: "NaN", "+Inf", "-Inf", or ""
+// when v is finite.
+func NonFinite(v float64) string {
+	switch {
+	case math.IsNaN(v):
+		return "NaN"
+	case math.IsInf(v, 1):
+		return "+Inf"
+	case math.IsInf(v, -1):
+		return "-Inf"
+	}
+	return ""
+}
+
+// namedFloat is one constant of a Tech, for error messages.
+type namedFloat struct {
+	name string
+	v    float64
+}
+
+// fields lists the constants of t by name, in declaration order.
+func (t Tech) fields() []namedFloat {
+	return []namedFloat{
+		{"ClockHz", t.ClockHz}, {"EAcc32", t.EAcc32}, {"EAcc8", t.EAcc8},
+		{"EMul8", t.EMul8}, {"EAnd", t.EAnd}, {"EMux", t.EMux}, {"EReg", t.EReg},
+		{"DRAMBandwidth", t.DRAMBandwidth}, {"EDRAMPerByte", t.EDRAMPerByte},
+		{"PDRAM", t.PDRAM}, {"StaticFrac", t.StaticFrac},
+	}
+}
+
+// CheckFinite reports the first non-finite field of t by name, prefixed
+// with path.
+func (t Tech) CheckFinite(path string) error {
+	for _, f := range t.fields() {
+		if s := NonFinite(f.v); s != "" {
+			return fmt.Errorf("%s.%s is %s", path, f.name, s)
+		}
+	}
+	return nil
+}
+
+// maxBytesPerCycle bounds DRAMBandwidth/ClockHz so the cycle models'
+// integer conversion of it cannot overflow.
+const maxBytesPerCycle = 1 << 40
+
+// Validate reports the first field of t the cost models cannot run, by name
+// and prefixed with path: a non-finite or negative constant, a clock below
+// 1 Hz, or a DRAM bandwidth outside 1–2^40 bytes per cycle. A zero ClockHz
+// is legal whatever the other fields hold: every options type replaces such
+// a Tech with Default28nm.
+func (t Tech) Validate(path string) error {
+	if err := t.CheckFinite(path); err != nil {
+		return err
+	}
+	if t.ClockHz == 0 {
+		return nil
+	}
+	for _, f := range t.fields() {
+		if f.v < 0 {
+			return fmt.Errorf("%s.%s is negative (%g)", path, f.name, f.v)
+		}
+	}
+	if t.ClockHz < 1 {
+		return fmt.Errorf("%s.ClockHz is %g, below 1 Hz", path, t.ClockHz)
+	}
+	if bpc := t.DRAMBandwidth / t.ClockHz; bpc < 1 || bpc > maxBytesPerCycle {
+		return fmt.Errorf("%s.DRAMBandwidth is %g, outside 1–2^40 bytes per cycle at ClockHz %g",
+			path, t.DRAMBandwidth, t.ClockHz)
+	}
+	return nil
+}
+
+// maxUnits bounds every ArrayConfig count, so the products the core models
+// form from them stay far inside int64.
+const maxUnits = 1 << 24
+
+// Validate reports the first count of a the core models cannot run, by
+// name and prefixed with path: a count outside 1–2^24. A homogeneous array
+// (PTB's single systolic array) has no sparse or attention core, so its
+// SparseUnits, AttnPEs, AttnCols and AttnRows may also be zero. A zero
+// DensePEs is legal whatever the other fields hold: every options type
+// replaces such an array with its default.
+func (a ArrayConfig) Validate(path string, homogeneous bool) error {
+	if a.DensePEs == 0 {
+		return nil
+	}
+	for _, f := range [...]struct {
+		name     string
+		v        int
+		optional bool
+	}{
+		{"DensePEs", a.DensePEs, false}, {"DenseCols", a.DenseCols, false},
+		{"DenseRows", a.DenseRows, false}, {"SparseUnits", a.SparseUnits, homogeneous},
+		{"AttnPEs", a.AttnPEs, homogeneous}, {"AttnCols", a.AttnCols, homogeneous},
+		{"AttnRows", a.AttnRows, homogeneous}, {"SpikeLanes", a.SpikeLanes, false},
+		{"LanesPerUnit", a.LanesPerUnit, false},
+	} {
+		lo := 1
+		if f.optional {
+			lo = 0
+		}
+		if f.v < lo || f.v > maxUnits {
+			return fmt.Errorf("%s.%s is %d, outside %d–2^24", path, f.name, f.v, lo)
+		}
+	}
+	return nil
 }

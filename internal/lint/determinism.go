@@ -15,6 +15,7 @@ import (
 var digestScope = []string{
 	"internal/accel",
 	"internal/backend",
+	"internal/canon",
 	"internal/baseline",
 	"internal/dse",
 	"internal/hw",
@@ -30,6 +31,7 @@ var digestScope = []string{
 var selectScope = []string{
 	"internal/accel",
 	"internal/backend",
+	"internal/canon",
 	"internal/baseline",
 	"internal/dse",
 	"internal/hw",

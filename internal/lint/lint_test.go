@@ -192,6 +192,9 @@ func TestScopeMatching(t *testing.T) {
 		{"internal/fleet", wireScope, true},
 		{"internal/serve", selectScope, false},
 		{"internal/baseline/ptb", wireScope, true},
+		{"internal/canon", wireScope, true},
+		{"internal/canon", digestScope, true},
+		{"internal/canon", selectScope, true},
 		{"cmd/dse", durableScope, true},
 		{"cmd/bishop", durableScope, false},
 		{"anything/at/all", nil, true},

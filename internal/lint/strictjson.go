@@ -11,6 +11,7 @@ import (
 var wireScope = []string{
 	"internal/accel",
 	"internal/backend",
+	"internal/canon",
 	"internal/baseline",
 	"internal/dse",
 	"internal/fleet",

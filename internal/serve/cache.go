@@ -8,8 +8,8 @@ import (
 	"path/filepath"
 
 	"repro/internal/atomicfile"
+	"repro/internal/canon"
 	"repro/internal/dse"
-	"repro/internal/hw"
 )
 
 // Cache is a digest-addressed store of evaluation records: one checkpoint-
@@ -62,7 +62,7 @@ func (c Cache) LoadAt(digest string, seed uint64, fidelity int) (dse.Record, boo
 		return dse.Record{}, false
 	}
 	var r dse.Record
-	if err := hw.DecodeStrict(data, &r); err != nil {
+	if err := canon.DecodeStrict(data, &r); err != nil {
 		return dse.Record{}, false
 	}
 	if !r.Valid() || r.Digest != digest || r.Seed != seed || r.Fidelity != fidelity {

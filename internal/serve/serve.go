@@ -10,8 +10,8 @@ import (
 	"strconv"
 
 	"repro/internal/backend"
+	"repro/internal/canon"
 	"repro/internal/dse"
-	"repro/internal/hw"
 	"repro/internal/transformer"
 )
 
@@ -264,7 +264,7 @@ func (s *Server) evaluate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req EvaluateRequest
-	if err := hw.DecodeStrict(body, &req); err != nil {
+	if err := canon.DecodeStrict(body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}

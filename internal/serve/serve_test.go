@@ -16,8 +16,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/canon"
 	"repro/internal/dse"
-	"repro/internal/hw"
 )
 
 // tinySpec is the smallest cross-feature sweep worth serving: 2 bishop
@@ -135,7 +135,7 @@ func TestEndToEndStreamMatchesDirectSweep(t *testing.T) {
 	// Every streamed line must re-decode strictly as a checkpoint record.
 	for _, line := range got {
 		var r dse.Record
-		if err := hw.DecodeStrict([]byte(line), &r); err != nil {
+		if err := canon.DecodeStrict([]byte(line), &r); err != nil {
 			t.Fatalf("streamed line is not a strict checkpoint record: %v", err)
 		}
 		if !r.Valid() {
@@ -194,6 +194,7 @@ func TestSubmitRejectsMalformedSpec(t *testing.T) {
 		`{"space":{"modelz":[3]}}`,
 		`not json`,
 		`{"space":{"models":[99]}}`,
+		`{"space":{"arrays":[{"DensePEs":-4}]}}`, // would panic the simulator
 	} {
 		resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(bad))
 		if err != nil {
@@ -554,7 +555,29 @@ func TestEvaluateEndpoint(t *testing.T) {
 	}
 }
 
-// TestBackendsEndpoint pins GET /v1/backends against the registry.
+// TestEvaluateRejectsUnrunnableOptions pins that bishop options the
+// simulator cannot run get a 400 naming the field instead of a panic.
+func TestEvaluateRejectsUnrunnableOptions(t *testing.T) {
+	ts, _ := newTestServer(t, ManagerConfig{})
+	for _, tc := range []struct{ opt, field string }{
+		{`{"Array":{"DensePEs":-4}}`, "DensePEs"},
+		{`{"Shape":{"BSt":4,"BSn":-2}}`, "Shape"},
+		{`{"Tech":{"ClockHz":5e8}}`, "DRAMBandwidth"},
+	} {
+		body := `{"model":4,"options":` + tc.opt + `}`
+		resp, err := http.Post(ts.URL+"/v1/evaluate", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("evaluate(%s): %v", body, err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), tc.field) {
+			t.Errorf("evaluate(%s) status %d body %s, want 400 naming %s", body, resp.StatusCode, msg, tc.field)
+		}
+	}
+}
+
+// TestBackendsEndpoint pins GET /v1/backends against the backend table.
 func TestBackendsEndpoint(t *testing.T) {
 	ts, _ := newTestServer(t, ManagerConfig{})
 	resp, err := http.Get(ts.URL + "/v1/backends")

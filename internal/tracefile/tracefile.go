@@ -33,7 +33,7 @@ import (
 	"hash/fnv"
 	"io"
 
-	"repro/internal/hw"
+	"repro/internal/canon"
 	"repro/internal/spike"
 	"repro/internal/transformer"
 )
@@ -428,7 +428,7 @@ func (r *Reader) readHeader() (*Header, int64, error) {
 		return nil, 0, fmt.Errorf("%w: header CRC mismatch (file %08x, computed %08x)", ErrCorrupt, want, got)
 	}
 	h := &Header{}
-	if err := hw.DecodeStrict(hdata, h); err != nil {
+	if err := canon.DecodeStrict(hdata, h); err != nil {
 		return nil, 0, fmt.Errorf("%w: header JSON: %v", ErrFormat, err)
 	}
 	sz, err := h.validate()

@@ -2,14 +2,12 @@ package workload
 
 import (
 	"container/list"
-	"encoding/json"
 	"errors"
-	"fmt"
-	"hash/fnv"
 	"os"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/canon"
 	"repro/internal/tracefile"
 	"repro/internal/transformer"
 )
@@ -178,25 +176,18 @@ func TraceDir() string {
 const traceGenVersion = 1
 
 // TraceDigest fingerprints the generation inputs of a synthetic trace — the
-// key the disk store is addressed by. Following the accel.Options.Digest
-// conventions, it is a 64-bit FNV-1a over the canonical JSON encoding of the
+// key the disk store is addressed by. It is the canon digest of the
 // normalized inputs, so it is stable across processes, field ordering, and
 // default spellings (the zero Shape and an explicit DefaultShape digest
 // identically).
 func TraceDigest(cfg transformer.Config, sc Scenario, opt TraceOptions, seed uint64) uint64 {
-	data, err := json.Marshal(struct {
+	return canon.Digest(struct {
 		Gen  int
 		Cfg  transformer.Config
 		Sc   Scenario
 		Opt  TraceOptions
 		Seed uint64
 	}{traceGenVersion, cfg, sc, opt.normalized(), seed})
-	if err != nil {
-		panic(fmt.Sprintf("workload: trace key not marshalable: %v", err)) // unreachable: all fields are plain values
-	}
-	h := fnv.New64a()
-	h.Write(data)
-	return h.Sum64()
 }
 
 // materializeTrace produces the trace for a cache miss: from the disk store
