@@ -16,11 +16,11 @@ build:
 test:
 	$(GO) test ./...
 
-# The checkpoint-owning packages under several GOMAXPROCS values, twice
-# each, so a dependence on worker scheduling cannot hide behind one core
-# count.
+# The checkpoint-owning packages, the parallel per-layer preparation and the
+# bundle-row walker under several GOMAXPROCS values, twice each, so a
+# dependence on worker scheduling cannot hide behind one core count.
 test-cpus:
-	$(GO) test -cpu 1,2,4 -count 2 ./internal/dse ./internal/serve ./internal/fleet
+	$(GO) test -cpu 1,2,4 -count 2 ./internal/dse ./internal/serve ./internal/fleet ./internal/accel ./internal/bundle
 
 # Ten seconds of coverage-guided fuzzing of the one options codec, over
 # every backend kind (decode∘encode identity, digest stable across the round
@@ -59,7 +59,8 @@ bench-json:
 
 # Benchmark-regression gate (cmd/benchdiff): re-measure the hot-path
 # benchmarks — SIMD kernel dispatch, spike-driven GEMM, steady-state
-# simulator, the 120-point Bishop sweep — with -count=$(BENCH_GATE_COUNT)
+# simulator, one trace's Prepare, the 120-point Bishop sweep — with
+# -count=$(BENCH_GATE_COUNT)
 # and compare against the committed baseline, failing on >10% ns/op growth
 # or allocs/op growth beyond $(BENCH_ALLOC_THRESHOLD) (any whole allocation
 # on a zero-alloc benchmark).
@@ -79,13 +80,14 @@ BENCH_GATE_COUNT ?= 5
 # fast (~250ns) kernels far above the timer noise floor that fixed small
 # iteration counts would sit in, while the multi-ms simulator benchmark
 # and the sweep (one sweep per sample) still finish promptly.
-BENCH_GATE_SEL = -run='^$$' -bench='Kernel|Dispatched|LinearForwardSpikes|SimulatorSteadyState|SweepBishopGrid' \
+BENCH_GATE_SEL = -run='^$$' -bench='Kernel|Dispatched|LinearForwardSpikes|SimulatorSteadyState|Prepare|SweepBishopGrid' \
 	-benchtime=100ms -count=$(BENCH_GATE_COUNT) -benchmem
 # The reference tolerates go test's -GOMAXPROCS name suffix, so the bare
 # name works on any host.
 BENCH_NORMALIZE ?= BenchmarkKernelCount/go
-# Every gated benchmark but the sweep allocates nothing, and any whole
-# allocation there still fails. The sweep's ~7.3k allocs/op move by a few
+# Every gated benchmark but Prepare and the sweep allocates nothing, and any
+# whole allocation there still fails; Prepare's allocations are a fixed
+# count per trace. The sweep's ~5.8k allocs/op move by a few
 # between runs with GC timing (sync.Pool refills in fmt and encoding/json,
 # seen even with one worker); 0.1% absorbs that.
 BENCH_ALLOC_THRESHOLD = 0.001

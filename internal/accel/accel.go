@@ -5,12 +5,12 @@
 // ECP) to the TT-Bundle attention core, and accounts the spike generator and
 // memory system — producing per-layer and end-to-end latency/energy reports.
 //
-// Simulation runs in two steps. Simulator.Prepare tags every layer of a
-// trace once and reduces the tags to the statistics the stratifier, ECP and
-// the core models read; those depend only on the trace and the bundle
-// shapes. Simulator.Simulate then walks the prepared statistics under one
-// design point's options, so a sweep tags each (trace, shape) pair once
-// however many points share it.
+// Simulation runs in two steps. Simulator.Prepare walks every layer of a
+// trace once, one bundle row at a time, folding the bundle tags straight
+// into the statistics the stratifier, ECP and the core models read; those
+// depend only on the trace and the bundle shapes. Simulator.Simulate then
+// walks the prepared statistics under one design point's options, so a
+// sweep reduces each (trace, shape) pair once however many points share it.
 package accel
 
 import (
@@ -148,7 +148,7 @@ func SimulateSeq(tr *transformer.Trace, opt Options) *hw.Report {
 }
 
 func simulate(tr *transformer.Trace, opt Options, jobs int) *hw.Report {
-	return new(Simulator).Simulate(prepare(tr, opt.Shapes(), jobs, &bundle.Tags{}), opt)
+	return new(Simulator).Simulate(prepare(tr, opt.Shapes(), jobs, new(bundle.Walker)), opt)
 }
 
 // SimulateConfigs runs one trace under several option variants — the shape
@@ -193,16 +193,16 @@ type layer struct {
 // dispatch row the ECP row holding its first slot (-1 outside the operand).
 type ecpRows struct{ nab, slots, dispatch []int }
 
-// Prepare computes tr's statistics at opt's Shapes, tagging the layers one
-// after another on the Simulator's tag scratch. The returned value does not
+// Prepare computes tr's statistics at opt's Shapes, walking the layers one
+// after another on the Simulator's row scratch. The returned value does not
 // alias the Simulator.
 func (sim *Simulator) Prepare(tr *transformer.Trace, opt Options) *Prepared {
-	return prepare(tr, opt.Shapes(), 1, &sim.tags)
+	return prepare(tr, opt.Shapes(), 1, &sim.walk)
 }
 
-// prepare tags the layers on jobs workers; a sequential run (jobs == 1)
-// reuses tg, a parallel one gives every layer its own tags.
-func prepare(tr *transformer.Trace, sh Shapes, jobs int, tg *bundle.Tags) *Prepared {
+// prepare walks the layers on jobs workers; a sequential run (jobs == 1)
+// reuses w, a parallel one gives every layer its own Walker.
+func prepare(tr *transformer.Trace, sh Shapes, jobs int, w *bundle.Walker) *Prepared {
 	p := &Prepared{shapes: sh}
 	for i := range tr.Layers {
 		switch tr.Layers[i].Kind {
@@ -214,9 +214,9 @@ func prepare(tr *transformer.Trace, sh Shapes, jobs int, tg *bundle.Tags) *Prepa
 		}
 	}
 	err := sched.Map(context.Background(), len(p.layers), jobs, func(i int) error {
-		scratch := tg
+		scratch := w
 		if jobs != 1 {
-			scratch = &bundle.Tags{}
+			scratch = new(bundle.Walker)
 		}
 		p.layers[i].fill(sh, scratch)
 		return nil
@@ -227,11 +227,10 @@ func prepare(tr *transformer.Trace, sh Shapes, jobs int, tg *bundle.Tags) *Prepa
 	return p
 }
 
-func (l *layer) fill(sh Shapes, tg *bundle.Tags) {
+func (l *layer) fill(sh Shapes, w *bundle.Walker) {
 	src := l.src
 	if src.Kind != transformer.KindAttention {
-		tg.Retag(src.In, sh.TTB)
-		l.lin.Fill(tg, src.DOut)
+		l.lin = hw.WalkLinearStats(w, src.In, src.DOut, sh.TTB)
 		l.sorted = slices.Clone(l.lin.ActivePerFeature)
 		slices.Sort(l.sorted)
 		return
@@ -240,27 +239,26 @@ func (l *layer) fill(sh Shapes, tg *bundle.Tags) {
 	if src.QKeep == nil {
 		// Dispatch rows span Q's extent for both operands, as in
 		// hw.NewAttnStats.
-		nbt := (src.Q.T + sh.TTB.BSt - 1) / sh.TTB.BSt
-		nbn := (src.Q.N + sh.TTB.BSn - 1) / sh.TTB.BSn
-		l.q = newECPRows(src.Q, sh, nbt, nbn, tg)
-		l.k = newECPRows(src.K, sh, nbt, nbn, tg)
+		nbt, nbn := sh.TTB.Rows(src.Q.T, src.Q.N)
+		l.q = newECPRows(src.Q, sh, nbt, nbn, w)
+		l.k = newECPRows(src.K, sh, nbt, nbn, w)
 	}
 }
 
-func newECPRows(s *spike.Tensor, sh Shapes, nbt, nbn int, tg *bundle.Tags) *ecpRows {
-	tg.Retag(s, sh.ECP)
-	e, es := &ecpRows{nab: tg.ActivePerRow(), dispatch: make([]int, nbt*nbn)}, sh.ECP
-	for bt := 0; bt < tg.NBt; bt++ {
-		for bn := 0; bn < tg.NBn; bn++ {
-			rows := min((bt+1)*es.BSt, s.T) - bt*es.BSt
-			e.slots = append(e.slots, rows*(min((bn+1)*es.BSn, s.N)-bn*es.BSn))
-		}
+func newECPRows(s *spike.Tensor, sh Shapes, nbt, nbn int, w *bundle.Walker) *ecpRows {
+	es := sh.ECP
+	e := &ecpRows{nab: w.ActiveRows(s, es), dispatch: make([]int, nbt*nbn)}
+	_, ebn := es.Rows(s.T, s.N)
+	e.slots = make([]int, len(e.nab))
+	for b := range e.slots {
+		t0, n0 := b/ebn*es.BSt, b%ebn*es.BSn
+		e.slots[b] = (min(t0+es.BSt, s.T) - t0) * (min(n0+es.BSn, s.N) - n0)
 	}
 	for b := range e.dispatch {
 		t0, n0 := b/nbn*sh.TTB.BSt, b%nbn*sh.TTB.BSn
 		e.dispatch[b] = -1
 		if t0 < s.T && n0 < s.N {
-			e.dispatch[b] = t0/es.BSt*tg.NBn + n0/es.BSn
+			e.dispatch[b] = t0/es.BSt*ebn + n0/es.BSn
 		}
 	}
 	return e
@@ -284,7 +282,7 @@ func (e *ecpRows) kept(theta int) (slots, rows int) {
 
 // Simulator walks Prepared statistics under a design point's options. It
 // owns the per-point scratch (stratification, dense/sparse split
-// statistics, the report) and the tag scratch of its Prepare, so a warm
+// statistics, the report) and the row scratch of its Prepare, so a warm
 // Simulator simulates a point without touching the heap. The zero value is
 // ready to use. A Simulator is not safe for concurrent use; give each
 // worker its own.
@@ -292,7 +290,7 @@ type Simulator struct {
 	rep      hw.Report
 	res      bundle.StratifyResult
 	dSt, sSt hw.LinearStats
-	tags     bundle.Tags
+	walk     bundle.Walker
 }
 
 // Simulate walks p under opt, whose Shapes must be p's. The report and

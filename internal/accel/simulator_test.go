@@ -219,3 +219,23 @@ func BenchmarkSimulatorSteadyState(b *testing.B) {
 		sim.Simulate(p, opt)
 	}
 }
+
+// BenchmarkPrepare is the layer-statistics rung of the benchmark ladder:
+// one Simulator.Prepare of the Model 5 trace, the bundle-row walk of every
+// layer, at the two shapes of the sweep rung on a warm Simulator.
+func BenchmarkPrepare(b *testing.B) {
+	tr := trace(5, false, 1)
+	for _, sh := range []bundle.Shape{{BSt: 4, BSn: 2}, {BSt: 2, BSn: 2}} {
+		b.Run(fmt.Sprintf("%dx%d", sh.BSt, sh.BSn), func(b *testing.B) {
+			opt := DefaultOptions()
+			opt.Shape = sh
+			var sim Simulator
+			sim.Prepare(tr, opt)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sim.Prepare(tr, opt)
+			}
+		})
+	}
+}

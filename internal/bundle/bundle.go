@@ -11,25 +11,10 @@ package bundle
 
 import (
 	"fmt"
-	"math/bits"
 	"slices"
 
 	"repro/internal/spike"
 )
-
-// resizeInts returns dst resized to n zeroed elements, reusing its backing
-// array when the capacity allows — the shared scratch idiom of the Into
-// variants below.
-func resizeInts(dst []int, n int) []int {
-	if cap(dst) < n {
-		return make([]int, n)
-	}
-	dst = dst[:n]
-	for i := range dst {
-		dst[i] = 0
-	}
-	return dst
-}
 
 // Shape is the TTB bundle volume: BSt time points × BSn tokens (Fig. 4).
 type Shape struct {
@@ -62,6 +47,11 @@ func (s Shape) validate() {
 	}
 }
 
+// Rows returns the bundle-row grid of a T×N token plane: ⌈T/BSt⌉ × ⌈N/BSn⌉.
+func (s Shape) Rows(t, n int) (nbt, nbn int) {
+	return (t + s.BSt - 1) / s.BSt, (n + s.BSn - 1) / s.BSn
+}
+
 // Tags holds the L0 activity tags Z of every bundle of a spike tensor
 // (Eq. 9): Counts[(bt·NBn+bn)·D+d] is the number of spikes packed in bundle
 // (bt, bn) of feature d.
@@ -70,41 +60,21 @@ type Tags struct {
 	T, N, D  int
 	NBt, NBn int
 	Counts   []int
+	nab      []int // each bundle row's n_ab: the popcount of its walked mask
 }
 
-// Tag computes the bundle activity tags of s under the given bundle shape.
-// Instead of one bit-loop per (feature, bundle) pair, it makes a single
-// word-scan pass over the tensor: each (t, n) token row belongs to exactly
-// one bundle row, so every set bit increments one tag — O(words + spikes)
-// rather than O(T·N·D) bounds-checked Gets.
+// Tag computes the bundle activity tags of s under the given bundle shape:
+// the Walker's row scan with each bundle row's slice of Counts as its row
+// counter, so every set bit of the tensor increments one tag.
 func Tag(s *spike.Tensor, sh Shape) *Tags {
-	tg := &Tags{}
-	tg.Retag(s, sh)
-	return tg
-}
-
-// Retag recomputes the tags of s into tg, reusing the Counts buffer when
-// its capacity suffices. It is the zero-alloc form of Tag for steady-state
-// simulation loops.
-func (tg *Tags) Retag(s *spike.Tensor, sh Shape) {
-	sh.validate()
-	nbt := (s.T + sh.BSt - 1) / sh.BSt
-	nbn := (s.N + sh.BSn - 1) / sh.BSn
-	tg.Shape, tg.T, tg.N, tg.D, tg.NBt, tg.NBn = sh, s.T, s.N, s.D, nbt, nbn
-	tg.Counts = resizeInts(tg.Counts, nbt*nbn*s.D)
-	for t := 0; t < s.T; t++ {
-		btBase := (t / sh.BSt) * nbn
-		for n := 0; n < s.N; n++ {
-			counts := tg.Counts[(btBase+n/sh.BSn)*s.D:]
-			for wi, w := range s.TokenWords(t, n) {
-				base := wi << 6
-				for w != 0 {
-					counts[base+bits.TrailingZeros64(w)]++
-					w &= w - 1
-				}
-			}
-		}
+	var w Walker
+	nbt, nbn := w.start(s, sh)
+	tg := &Tags{Shape: sh, T: s.T, N: s.N, D: s.D, NBt: nbt, NBn: nbn,
+		Counts: make([]int, nbt*nbn*s.D), nab: make([]int, nbt*nbn)}
+	for b := range tg.nab {
+		tg.nab[b] = w.scan(s, sh, nbn, b, tg.Counts[b*s.D:(b+1)*s.D])
 	}
+	return tg
 }
 
 // Count returns the L0 tag of bundle (bt, bn, d).
@@ -149,17 +119,10 @@ func (tg *Tags) SpikeCount() int {
 // in its column. This is the per-feature statistic histogrammed in Fig. 5
 // and the column sparsity Alg. 1 thresholds on.
 func (tg *Tags) ActivePerFeature() []int {
-	return tg.ActivePerFeatureInto(nil)
-}
-
-// ActivePerFeatureInto is ActivePerFeature writing into dst (resized and
-// reused when capacity allows).
-func (tg *Tags) ActivePerFeatureInto(dst []int) []int {
-	out := resizeInts(dst, tg.D)
+	out := make([]int, tg.D)
 	for b := 0; b < tg.NBt*tg.NBn; b++ {
-		base := b * tg.D
-		for d := 0; d < tg.D; d++ {
-			if tg.Counts[base+d] > 0 {
+		for d, c := range tg.Counts[b*tg.D : (b+1)*tg.D] {
+			if c > 0 {
 				out[d]++
 			}
 		}
@@ -169,17 +132,10 @@ func (tg *Tags) ActivePerFeatureInto(dst []int) []int {
 
 // SpikesPerFeature returns the raw spike count per feature column.
 func (tg *Tags) SpikesPerFeature() []int {
-	return tg.SpikesPerFeatureInto(nil)
-}
-
-// SpikesPerFeatureInto is SpikesPerFeature writing into dst (resized and
-// reused when capacity allows).
-func (tg *Tags) SpikesPerFeatureInto(dst []int) []int {
-	out := resizeInts(dst, tg.D)
+	out := make([]int, tg.D)
 	for b := 0; b < tg.NBt*tg.NBn; b++ {
-		base := b * tg.D
-		for d := 0; d < tg.D; d++ {
-			out[d] += tg.Counts[base+d]
+		for d, c := range tg.Counts[b*tg.D : (b+1)*tg.D] {
+			out[d] += c
 		}
 	}
 	return out
@@ -187,19 +143,9 @@ func (tg *Tags) SpikesPerFeatureInto(dst []int) []int {
 
 // ActivePerRow returns n_ab for each bundle row (bt, bn): the number of
 // features whose bundle in that row is active. This is the quantity ECP
-// compares against the pruning threshold θ_p (§5.1).
-func (tg *Tags) ActivePerRow() []int {
-	out := make([]int, tg.NBt*tg.NBn)
-	for b := range out {
-		base := b * tg.D
-		for d := 0; d < tg.D; d++ {
-			if tg.Counts[base+d] > 0 {
-				out[b]++
-			}
-		}
-	}
-	return out
-}
+// compares against the pruning threshold θ_p (§5.1). Tag records it from
+// each row's walked mask.
+func (tg *Tags) ActivePerRow() []int { return slices.Clone(tg.nab) }
 
 // FeatureActivityHistogram buckets features by their active-bundle count
 // into nBuckets equal ranges over [0, maxActive], returning the fraction of
@@ -248,26 +194,12 @@ type StratifyResult struct {
 	BundlesPerFeat int // total bundles per feature column
 }
 
-// StratifyScratch holds the per-feature working buffers of the stratifier
-// so steady-state simulation loops can run it without allocating.
-type StratifyScratch struct {
-	active, spikes, sorted []int
-}
-
 // Stratify implements Alg. 1: feature i goes to the dense set when its
 // column's active-bundle count exceeds θ_s, otherwise to the sparse set.
 func Stratify(tg *Tags, theta int) StratifyResult {
 	var res StratifyResult
-	StratifyInto(tg, theta, &StratifyScratch{}, &res)
+	StratifyCounts(tg.ActivePerFeature(), tg.SpikesPerFeature(), tg.NBt*tg.NBn, theta, &res)
 	return res
-}
-
-// StratifyInto is Stratify reusing the scratch buffers and the index
-// slices already held by res.
-func StratifyInto(tg *Tags, theta int, sc *StratifyScratch, res *StratifyResult) {
-	sc.active = tg.ActivePerFeatureInto(sc.active)
-	sc.spikes = tg.SpikesPerFeatureInto(sc.spikes)
-	StratifyCounts(sc.active, sc.spikes, tg.NBt*tg.NBn, theta, res)
 }
 
 // StratifyCounts is the counts-based core of Alg. 1: feature d goes to the
@@ -323,18 +255,11 @@ func (r StratifyResult) SparseDensity() float64 {
 // of the features to the dense core — the per-layer balancing strategy of
 // §6.5.1 — and returns the resulting stratification.
 func StratifyForSplit(tg *Tags, targetDenseFrac float64) StratifyResult {
+	active := tg.ActivePerFeature()
+	theta := SplitTheta(slices.Sorted(slices.Values(active)), targetDenseFrac)
 	var res StratifyResult
-	StratifyForSplitInto(tg, targetDenseFrac, &StratifyScratch{}, &res)
+	StratifyCounts(active, tg.SpikesPerFeature(), tg.NBt*tg.NBn, theta, &res)
 	return res
-}
-
-// StratifyForSplitInto is StratifyForSplit reusing scratch buffers.
-func StratifyForSplitInto(tg *Tags, targetDenseFrac float64, sc *StratifyScratch, res *StratifyResult) {
-	sc.active = tg.ActivePerFeatureInto(sc.active)
-	sc.spikes = tg.SpikesPerFeatureInto(sc.spikes)
-	sc.sorted = append(sc.sorted[:0], sc.active...)
-	slices.Sort(sc.sorted)
-	StratifyCounts(sc.active, sc.spikes, tg.NBt*tg.NBn, SplitTheta(sc.sorted, targetDenseFrac), res)
 }
 
 // SplitTheta returns the θ_s of the §6.5.1 balancing rule, the threshold

@@ -48,30 +48,28 @@ func frac(a, b int) float64 {
 // row (bt, bn) survives iff n_ab ≥ theta. The mask is expanded to (t, n)
 // token granularity for the attention computation; its rows view a single
 // backing slice.
-func pruneRows(s *spike.Tensor, sh Shape, theta int) (keep [][]bool, rowsKept, rowsTotal, tokKept int) {
-	tg := Tag(s, sh)
-	nab := tg.ActivePerRow()
+func pruneRows(w *Walker, s *spike.Tensor, sh Shape, theta int) (keep [][]bool, rowsKept, rowsTotal, tokKept int) {
+	nab := w.ActiveRows(s, sh)
+	_, nbn := sh.Rows(s.T, s.N)
 	bits := make([]bool, s.T*s.N)
 	keep = make([][]bool, s.T)
 	for t := range keep {
 		keep[t] = bits[t*s.N : (t+1)*s.N]
 	}
-	for bt := 0; bt < tg.NBt; bt++ {
-		for bn := 0; bn < tg.NBn; bn++ {
-			rowsTotal++
-			if nab[bt*tg.NBn+bn] < theta {
-				continue // pruned
-			}
-			rowsKept++
-			for t := bt * sh.BSt; t < (bt+1)*sh.BSt && t < s.T; t++ {
-				for n := bn * sh.BSn; n < (bn+1)*sh.BSn && n < s.N; n++ {
-					keep[t][n] = true
-					tokKept++
-				}
+	for b, active := range nab {
+		if active < theta {
+			continue // pruned
+		}
+		rowsKept++
+		t0, n0 := b/nbn*sh.BSt, b%nbn*sh.BSn
+		for t := t0; t < min(t0+sh.BSt, s.T); t++ {
+			for n := n0; n < min(n0+sh.BSn, s.N); n++ {
+				keep[t][n] = true
+				tokKept++
 			}
 		}
 	}
-	return keep, rowsKept, rowsTotal, tokKept
+	return keep, rowsKept, len(nab), tokKept
 }
 
 // Prune applies ECP to a spiking query/key pair and returns the token
@@ -79,10 +77,9 @@ func pruneRows(s *spike.Tensor, sh Shape, theta int) (keep [][]bool, rowsKept, r
 // (the masks zero S rows/columns, which inferentially prunes V and Y per
 // Fig. 7).
 func (c ECPConfig) Prune(q, k *spike.Tensor) (qKeep, kKeep [][]bool, stats ECPStats) {
-	sh := c.Shape
-	sh.validate()
-	qKeep, qrk, qrt, qtk := pruneRows(q, sh, c.ThetaQ)
-	kKeep, krk, krt, ktk := pruneRows(k, sh, c.ThetaK)
+	var w Walker
+	qKeep, qrk, qrt, qtk := pruneRows(&w, q, c.Shape, c.ThetaQ)
+	kKeep, krk, krt, ktk := pruneRows(&w, k, c.Shape, c.ThetaK)
 	stats = ECPStats{
 		QRowsKept: qrk, QRowsTotal: qrt, QTokensKept: qtk, QTokens: q.T * q.N,
 		KRowsKept: krk, KRowsTotal: krt, KTokensKept: ktk, KTokens: k.T * k.N,
@@ -120,8 +117,7 @@ func ThetaForKeepFraction(s *spike.Tensor, sh Shape, keep float64) int {
 	if keep >= 1 {
 		return 0
 	}
-	tg := Tag(s, sh)
-	sorted := append([]int(nil), tg.ActivePerRow()...)
+	sorted := new(Walker).ActiveRows(s, sh)
 	sort.Ints(sorted)
 	idx := int((1 - keep) * float64(len(sorted)))
 	if idx >= len(sorted) {

@@ -184,7 +184,10 @@ func TestSweepResumeOverTornTailByteIdentical(t *testing.T) {
 }
 
 // TestSweepCancelResumeByteIdentical: a sweep cancelled after its first
-// record and then resumed leaves the bytes of an uninterrupted run.
+// record and then resumed leaves the bytes of an uninterrupted run. The
+// cancelled sweep runs on one worker, which checks the context before every
+// point, so the cancel lands after exactly one record; with two workers the
+// second could start every remaining point before the first one committed.
 func TestSweepCancelResumeByteIdentical(t *testing.T) {
 	points := testSpace().Grid()
 	want := freshCheckpoint(t, points, Config{Seed: 1})
@@ -192,13 +195,17 @@ func TestSweepCancelResumeByteIdentical(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "cancel.jsonl")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	partial, err := Sweep(ctx, points, Config{Seed: 1, Checkpoint: ckpt, Jobs: 2,
+	partial, err := Sweep(ctx, points, Config{Seed: 1, Checkpoint: ckpt, Jobs: 1,
 		OnRecord: func(Record) { cancel() }})
 	if err == nil || partial.Complete() {
 		t.Fatalf("cancelled sweep: err %v, %d of %d records", err, len(partial.Records), len(points))
 	}
-	if _, err := Sweep(context.Background(), points, Config{Seed: 1, Checkpoint: ckpt, Jobs: 2}); err != nil {
+	rs, err := Sweep(context.Background(), points, Config{Seed: 1, Checkpoint: ckpt, Jobs: 2})
+	if err != nil {
 		t.Fatal(err)
+	}
+	if rs.Evaluated != len(points)-1 {
+		t.Fatalf("resume evaluated %d points, want %d", rs.Evaluated, len(points)-1)
 	}
 	sameFile(t, ckpt, want, "cancel then resume")
 }

@@ -27,44 +27,19 @@ type LinearStats struct {
 // NewLinearStats extracts the statistics of a projection/MLP layer with
 // binary input in and a DIn×DOut weight matrix, bundled under sh.
 func NewLinearStats(in *spike.Tensor, dout int, sh bundle.Shape) LinearStats {
-	var st LinearStats
-	st.Fill(bundle.Tag(in, sh), dout)
+	return WalkLinearStats(new(bundle.Walker), in, dout, sh)
+}
+
+// WalkLinearStats is NewLinearStats folding the input's tags one bundle row
+// at a time on w's scratch: the form for callers that keep a Walker warm.
+func WalkLinearStats(w *bundle.Walker, in *spike.Tensor, dout int, sh bundle.Shape) LinearStats {
+	st := LinearStats{T: in.T, N: in.N, DIn: in.D, DOut: dout, Shape: sh,
+		ActivePerFeature: make([]int, in.D), SpikesPerFeature: make([]int, in.D),
+		MaxSpikesPerBundle: make([]int, in.D)}
+	st.TotalSpikes, st.ActiveBundles = w.Features(in, sh, st.ActivePerFeature, st.SpikesPerFeature, st.MaxSpikesPerBundle)
+	nbt, nbn := sh.Rows(in.T, in.N)
+	st.B = nbt * nbn
 	return st
-}
-
-// Fill recomputes st from the input's bundle tags in one pass over the tag
-// counts, reusing st's per-feature slices: the form for callers that tag
-// the input themselves.
-func (st *LinearStats) Fill(tg *bundle.Tags, dout int) {
-	st.T, st.N, st.DIn, st.DOut, st.Shape = tg.T, tg.N, tg.D, dout, tg.Shape
-	st.B = tg.NBt * tg.NBn
-	st.ActivePerFeature = resizeInts(st.ActivePerFeature, tg.D)
-	st.SpikesPerFeature = resizeInts(st.SpikesPerFeature, tg.D)
-	st.MaxSpikesPerBundle = resizeInts(st.MaxSpikesPerBundle, tg.D)
-	st.TotalSpikes, st.ActiveBundles = 0, 0
-	for b := 0; b < st.B; b++ {
-		for d, c := range tg.Counts[b*tg.D : (b+1)*tg.D] {
-			if c == 0 {
-				continue
-			}
-			st.ActivePerFeature[d]++
-			st.SpikesPerFeature[d] += c
-			st.MaxSpikesPerBundle[d] = max(st.MaxSpikesPerBundle[d], c)
-			st.TotalSpikes += c
-			st.ActiveBundles++
-		}
-	}
-}
-
-// resizeInts returns dst resized to n zeroed elements, reusing its backing
-// array when the capacity allows.
-func resizeInts(dst []int, n int) []int {
-	if cap(dst) < n {
-		return make([]int, n)
-	}
-	dst = dst[:n]
-	clear(dst)
-	return dst
 }
 
 // Split partitions the per-feature statistics by a stratification result,
@@ -157,8 +132,7 @@ func NewAttnStats(l transformer.TraceLayer, sh bundle.Shape) AttnStats {
 	st.QTokensKept = count(l.QKeep, st.QTokens)
 	st.KTokensKept = count(l.KKeep, st.KTokens)
 
-	nbt := (q.T + sh.BSt - 1) / sh.BSt
-	nbn := (q.N + sh.BSn - 1) / sh.BSn
+	nbt, nbn := sh.Rows(q.T, q.N)
 	rows := func(mask [][]bool) int {
 		if mask == nil {
 			return nbt * nbn

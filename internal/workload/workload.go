@@ -85,8 +85,7 @@ func Generate(rng *tensor.RNG, T, N, D int, p Params) *spike.Tensor {
 	p.clamp()
 	sh := p.Shape
 	s := spike.NewTensor(T, N, D)
-	nbt := (T + sh.BSt - 1) / sh.BSt
-	nbn := (N + sh.BSn - 1) / sh.BSn
+	nbt, nbn := sh.Rows(T, N)
 
 	// Assign feature tiers.
 	probs := make([]float64, D)
