@@ -8,7 +8,7 @@ GO ?= go
 # uploadable locations and local runs find under $(SMOKE_DIR)).
 SMOKE_DIR ?= .smoke
 
-.PHONY: build test test-cpus fuzz-smoke race bench bench-json bench-gate bench-baseline sweepbench-check dse-smoke backend-smoke trace-smoke serve-smoke fleet-smoke search-smoke smoke-clean fmt fmt-check vet lint ci
+.PHONY: build test test-cpus fuzz-smoke race bench bench-json bench-gate bench-baseline sweepbench-check dse-smoke backend-smoke trace-smoke serve-smoke fleet-smoke search-smoke smoke-clean fmt fmt-check vet lint loc ci
 
 build:
 	$(GO) build ./...
@@ -359,5 +359,10 @@ vet:
 # README "Static analysis" section.
 lint:
 	$(GO) run ./cmd/bishoplint ./...
+
+# Non-test Go source line count outside the benchmark module and its build
+# output: the size figure ROADMAP.md tracks. Informational, never a gate.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './sweepbench/*' ! -path './.bench_build/*' | xargs cat | wc -l
 
 ci: build fmt-check vet lint race test-cpus fuzz-smoke bench bench-gate sweepbench-check dse-smoke backend-smoke trace-smoke serve-smoke fleet-smoke search-smoke

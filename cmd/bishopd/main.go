@@ -82,12 +82,12 @@ func main() {
 	}
 
 	fmt.Printf("bishopd: draining (up to %s)\n", *drain)
-	// Drain order matters: flip /healthz to 503 "draining" first (so fleet
-	// coordinators and load balancers stop routing new shards here), then
-	// drain the job manager (running sweeps finish inside the budget, which
-	// ends their record streams), and only then shut the HTTP server down —
-	// Shutdown waits for active connections, and the streams cannot end
-	// until their jobs do.
+	// Drain order matters: flip /healthz to 503 "draining" and refuse new
+	// submissions first (load balancers stop routing here, and a fleet
+	// coordinator leases the shard elsewhere), then drain the job manager
+	// (running sweeps finish inside the budget, which ends their record
+	// streams), and only then shut the HTTP server down — Shutdown waits for
+	// active connections, and the streams cannot end until their jobs do.
 	mgr.BeginDrain()
 	shutCtx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()

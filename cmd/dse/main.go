@@ -75,7 +75,7 @@ func main() {
 	seed := flag.Uint64("seed", 1, "trace seed (and random-search seed)")
 	checkpoint := flag.String("checkpoint", "", "JSONL checkpoint path; enables resume")
 	traceDir := flag.String("trace-dir", "", "shared trace-store directory: load traces by digest, generate+persist on miss (lets shards share one trace set)")
-	shard := flag.String("shard", "", "shard spec i/n: evaluate point i mod n == i only")
+	shard := flag.String("shard", "", "shard spec i/n: evaluate the points whose index mod n is i (a repeated digest only in the shard of its first occurrence)")
 	jobs := flag.Int("jobs", 0, "parallel evaluators (0 = all CPUs)")
 	frontier := flag.String("frontier", "", "write the Pareto frontier JSON to this path")
 	specPath := flag.String("spec", "", "run this saved sweep spec instead of compiling one from flags")

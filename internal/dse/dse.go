@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"iter"
+	"slices"
 	"sync"
 
 	"repro/internal/accel"
@@ -195,9 +197,10 @@ type Config struct {
 	Checkpoint string
 
 	// Shard i of Shards partitions the point set deterministically by
-	// enumeration index (point i belongs to shard i mod Shards), so n
-	// machines given the same spec and -shard 0/n … (n-1)/n cover the space
-	// exactly once. Zero values mean "the whole space".
+	// enumeration index (point i belongs to shard i mod Shards, and a
+	// repeated digest to the shard of its first occurrence; see Slots), so n
+	// machines given the same spec and -shard 0/n … (n-1)/n evaluate every
+	// digest exactly once between them. Zero values mean "the whole space".
 	Shard, Shards int
 
 	Jobs int // parallel evaluators (<=0 → GOMAXPROCS)
@@ -208,7 +211,7 @@ type Config struct {
 	// full-fidelity sweep, and vice versa.
 	Fidelity int
 
-	// Select, when non-nil, restricts evaluation to points whose digest
+	// Select, when non-empty, restricts evaluation to points whose digest
 	// (%016x) appears in it — the successive-halving driver's survivor
 	// filter. Indices are untouched: a selected point keeps the index it has
 	// in the full enumeration, so its records stay byte-identical to an
@@ -258,73 +261,103 @@ type ResultSet struct {
 // Complete reports whether every point of the set has a record.
 func (rs *ResultSet) Complete() bool { return len(rs.Records) == len(rs.Points) }
 
-// Sweep evaluates the shard-assigned subset of points that is not already
-// checkpointed, appending the records to the checkpoint in enumeration
-// order as they land, and returns the merged result set. On cancellation
-// the records completed so far are already durable in the checkpoint and
-// the error is returned; a later call with the same arguments resumes
-// where the sweep stopped. On success a checkpoint that is not already
-// canonical is published in the canonical order (see Config.Checkpoint).
-func Sweep(ctx context.Context, points []Point, cfg Config) (*ResultSet, error) {
-	if err := cfg.normalize(); err != nil {
+// Slot is one point of a sweep's enumeration that passes its Select
+// filter.
+type Slot struct {
+	Index int    // position in the full enumeration
+	Key   string // the point's DigestKey
+	// Shard is the shard that evaluates the digest, or -1 when an earlier
+	// slot carries the same Key.
+	Shard int
+}
+
+// Slots is the one statement of which run evaluates which point. Point i
+// belongs to shard i mod Shards; a non-empty Select keeps only the listed
+// digests; and a digest the enumeration repeats (seeded-random samples
+// repeat coordinates) is evaluated once, by the shard of its first
+// occurrence in the whole enumeration. Sweep, serve.Run's cache preload and
+// the fleet coordinator's per-shard inventory all read it, so n shards
+// evaluate every selected digest exactly once between them.
+//
+// The slots come in enumeration order, each point's digest key computed as
+// it is reached, so a caller can act on the first slot (serve.Run streams
+// its cache hits) before the last key is computed.
+func (c Config) Slots(points []Point) (iter.Seq[Slot], error) {
+	if err := c.normalize(); err != nil {
 		return nil, err
 	}
-	done := map[string]Record{}
+	var sel map[string]bool
+	if len(c.Select) > 0 {
+		sel = make(map[string]bool, len(c.Select))
+		for _, d := range c.Select {
+			sel[d] = true
+		}
+	}
+	return func(yield func(Slot) bool) {
+		first := map[string]bool{}
+		for i, p := range points {
+			key := digestKey(p)
+			if sel != nil && !sel[key] {
+				continue
+			}
+			shard := -1
+			if !first[key] {
+				first[key] = true
+				shard = i % c.Shards
+			}
+			if !yield(Slot{Index: i, Key: key, Shard: shard}) {
+				return
+			}
+		}
+	}, nil
+}
+
+// Sweep evaluates the points of the configured shard (see Slots) that are
+// not already checkpointed or preloaded, appending the records to the
+// checkpoint in enumeration order as they land, and returns the merged
+// result set. On cancellation the records completed so far are already
+// durable in the checkpoint and the error is returned; a later call with
+// the same arguments resumes where the sweep stopped. On success a
+// checkpoint that is not already canonical is published in the canonical
+// order (see Config.Checkpoint).
+func Sweep(ctx context.Context, points []Point, cfg Config) (*ResultSet, error) {
+	seq, err := cfg.Slots(points) // rejects a shard outside [0, Shards)
+	if err != nil {
+		return nil, err
+	}
+	slots := slices.Collect(seq)
+	// known holds every record of this sweep's seed and fidelity: a record
+	// from another trace seed or fidelity describes a different experiment
+	// and never satisfies this sweep's points. Digests key it, so a
+	// checkpoint survives re-ordering of the spec; indices are rebound from
+	// the current enumeration.
+	known := NewDedupAt(cfg.Seed, cfg.Fidelity)
 	// canonical holds while the checkpoint is exactly what a fresh run
 	// appends: it started empty and nothing was adopted from elsewhere.
 	canonical := true
 	var ckpt *CheckpointWriter
 	if cfg.Checkpoint != "" {
-		var err error
 		if ckpt, err = OpenCheckpointWriter(cfg.Checkpoint); err != nil {
 			return nil, err
 		}
 		defer ckpt.Close()
 		canonical = !ckpt.loaded
 		for _, r := range ckpt.Records() {
-			// A record from a different trace seed or fidelity describes a
-			// different experiment: never let it satisfy this sweep's points.
-			if r.Seed == cfg.Seed && r.Fidelity == cfg.Fidelity {
-				done[r.Digest] = r
-			}
+			known.Add(r)
 		}
 	}
 	for _, r := range cfg.Preloaded {
-		// Same seed and fidelity discipline as the checkpoint; malformed
-		// injected records are dropped and their points simply re-evaluate.
-		if r.Seed == cfg.Seed && r.valid() && r.Fidelity == cfg.Fidelity {
-			done[r.Digest] = r
+		// Malformed injected records are dropped and their points simply
+		// re-evaluate.
+		if r.valid() && known.Add(r) {
 			canonical = false
 		}
 	}
-	var sel map[string]bool
-	if cfg.Select != nil {
-		sel = make(map[string]bool, len(cfg.Select))
-		for _, d := range cfg.Select {
-			sel[d] = true
+	var todo []Slot
+	for _, s := range slots {
+		if s.Shard == cfg.Shard && !known.Has(s.Key) {
+			todo = append(todo, s)
 		}
-	}
-
-	// Shard partition and survivor selection, then drop points that are
-	// already evaluated — checkpointed at this seed, or duplicated within the
-	// point set itself (seeded-random samples repeat coordinates). Digests
-	// key the skip test so a checkpoint survives re-ordering of the spec;
-	// indices are recomputed from the current enumeration.
-	var todo []int
-	queued := map[string]bool{}
-	for i := range points {
-		if i%cfg.Shards != cfg.Shard {
-			continue
-		}
-		key := digestKey(points[i])
-		if sel != nil && !sel[key] {
-			continue
-		}
-		if _, ok := done[key]; ok || queued[key] {
-			continue
-		}
-		queued[key] = true
-		todo = append(todo, i)
 	}
 
 	// Records commit in todo order: a finished point waits for every
@@ -333,11 +366,11 @@ func Sweep(ctx context.Context, points []Point, cfg Config) (*ResultSet, error) 
 	// starts items in index order and lets every started item finish, so a
 	// cancelled sweep still commits everything it evaluated.
 	var mu sync.Mutex
-	fresh := map[string]Record{}
+	evaluated := 0
 	finished, ready, next := make([]Record, len(todo)), make([]bool, len(todo)), 0
 	var stats sharedStats // dropped on return
-	err := sched.Map(ctx, len(todo), cfg.Jobs, func(k int) error {
-		i := todo[k]
+	err = sched.Map(ctx, len(todo), cfg.Jobs, func(k int) error {
+		i := todo[k].Index
 		rec := stats.evaluate(points[i], cfg.Seed, cfg.Fidelity)
 		rec.Index = i
 		mu.Lock()
@@ -350,7 +383,8 @@ func Sweep(ctx context.Context, points []Point, cfg Config) (*ResultSet, error) 
 					return werr
 				}
 			}
-			fresh[rec.Digest] = rec
+			known.Add(rec)
+			evaluated++
 			if cfg.OnRecord != nil {
 				cfg.OnRecord(rec)
 			}
@@ -358,21 +392,8 @@ func Sweep(ctx context.Context, points []Point, cfg Config) (*ResultSet, error) 
 		return nil
 	})
 
-	rs := &ResultSet{Points: points, Evaluated: len(fresh)}
-	for i, p := range points {
-		key := digestKey(p)
-		if sel != nil && !sel[key] {
-			continue
-		}
-		rec, ok := fresh[key]
-		if !ok {
-			if rec, ok = done[key]; !ok {
-				continue // not evaluated (other shard, or cancelled)
-			}
-		}
-		rec.Index = i
-		rs.Records = append(rs.Records, rec)
-	}
+	// Points without a record belong to another shard or were cancelled.
+	rs := &ResultSet{Points: points, Records: known.ordered(slots), Evaluated: evaluated}
 	if err == nil && ckpt != nil && !canonical {
 		err = ckpt.Publish(rs.Records)
 	}

@@ -178,7 +178,7 @@ func TestShardUnionEqualsUnsharded(t *testing.T) {
 
 	dir := t.TempDir()
 	const shards = 3
-	union := NewDedup(1)
+	union := NewDedupAt(1, 0)
 	var totalRecords int
 	for i := 0; i < shards; i++ {
 		ckpt := filepath.Join(dir, "shard.jsonl")
@@ -249,6 +249,41 @@ func TestSweepDedupesDuplicatePoints(t *testing.T) {
 	}
 	if rs.Records[0].Total != rs.Records[2].Total || rs.Records[2].Index != 2 {
 		t.Fatal("duplicate instances must share the record under their own index")
+	}
+}
+
+// TestShardsEvaluateCrossShardDuplicatesOnce pins the assignment rule across
+// shards: a digest the enumeration repeats in another shard is evaluated
+// only by the shard of its first occurrence, so every shard count simulates
+// each unique digest exactly once, and the shard union is the unsharded
+// result set.
+func TestShardsEvaluateCrossShardDuplicatesOnce(t *testing.T) {
+	grid := testSpace().Grid()[:2]
+	points := []Point{grid[0], grid[1], grid[1], grid[0]} // 2 unique digests
+	ctx := context.Background()
+	want, err := Sweep(ctx, points, Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{2, 3} {
+		union := NewDedupAt(1, 0)
+		evaluated := 0
+		for i := 0; i < shards; i++ {
+			rs, err := Sweep(ctx, points, Config{Seed: 1, Shard: i, Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			evaluated += rs.Evaluated
+			for _, r := range rs.Records {
+				union.Add(r)
+			}
+		}
+		if evaluated != 2 {
+			t.Fatalf("%d shards evaluated %d points for 2 unique digests", shards, evaluated)
+		}
+		if merged := union.Ordered(points); !reflect.DeepEqual(merged, want.Records) {
+			t.Fatalf("%d-shard union differs from the unsharded result set", shards)
+		}
 	}
 }
 
@@ -408,7 +443,7 @@ func TestSweepSharedTraceStoreBitIdentical(t *testing.T) {
 		t.Fatalf("shard 1 should hit the shared store: hits=%d errors=%d", h, e)
 	}
 
-	union := NewDedup(1)
+	union := NewDedupAt(1, 0)
 	for _, r := range append(s0.Records, s1.Records...) {
 		union.Add(r)
 	}

@@ -1,15 +1,17 @@
 package dse
 
 import (
-	"fmt"
+	"slices"
 
 	"repro/internal/canon"
 )
 
-// This file is the merge/dedup surface the fleet coordinator builds on next
-// to CheckpointWriter: a strict single-line record parser, and a
-// seed-scoped digest deduper that absorbs the overlap re-leased shards
-// inevitably re-deliver.
+// This file is the merge surface Sweep and the fleet coordinator share next
+// to CheckpointWriter: a strict single-line record parser, and a seed- and
+// fidelity-scoped digest deduper. Sweep adopts checkpoint, preloaded and
+// fresh records through it; the coordinator absorbs the overlap re-leased
+// shards re-deliver. Which run evaluates which point is Config.Slots' rule
+// alone.
 
 // ParseRecordLine decodes one checkpoint-format line into a validated
 // Record. It applies exactly the per-line discipline checkpoint loading
@@ -40,10 +42,6 @@ type Dedup struct {
 	fidelity int
 	recs     map[string]Record
 }
-
-// NewDedup returns a deduper admitting full-fidelity records with the given
-// trace seed.
-func NewDedup(seed uint64) *Dedup { return NewDedupAt(seed, 0) }
 
 // NewDedupAt returns a deduper admitting records with the given trace seed
 // and fidelity tag (0 or 1 = full fidelity).
@@ -77,13 +75,21 @@ func (d *Dedup) Has(digest string) bool {
 func (d *Dedup) Len() int { return len(d.recs) }
 
 // Ordered assembles the admitted records covering the given point
-// enumeration, in enumeration order with indices rebound — the same merged
-// view Sweep and Merge produce. Points without a record are skipped.
+// enumeration, in enumeration order with indices rebound — the merged view
+// an unsharded, unrestricted Sweep of the points returns. Points without a
+// record are skipped.
 func (d *Dedup) Ordered(points []Point) []Record {
+	slots, _ := Config{}.Slots(points) // the zero Config is one shard: no error
+	return d.ordered(slices.Collect(slots))
+}
+
+// ordered returns the admitted record of every slot that has one, in slot
+// order, each under its slot's index.
+func (d *Dedup) ordered(slots []Slot) []Record {
 	var out []Record
-	for i, p := range points {
-		if rec, ok := d.recs[digestKey(p)]; ok {
-			rec.Index = i
+	for _, s := range slots {
+		if rec, ok := d.recs[s.Key]; ok {
+			rec.Index = s.Index
 			out = append(out, rec)
 		}
 	}
@@ -93,25 +99,3 @@ func (d *Dedup) Ordered(points []Point) []Record {
 // DigestKey renders a point digest the way checkpoints and record lines
 // store it (%016x) — the key Dedup and the result cache speak.
 func DigestKey(p Point) string { return digestKey(p) }
-
-// ShardDigests groups the unique point digests of each shard of an n-way
-// partition, by shard index — the coordinator's work-unit inventory. A point
-// set sampled with duplicates contributes each digest once, to the shard of
-// its first occurrence (matching Sweep's queued-digest skip).
-func ShardDigests(points []Point, shards int) ([][]string, error) {
-	if shards <= 0 {
-		return nil, fmt.Errorf("dse: non-positive shard count %d", shards)
-	}
-	out := make([][]string, shards)
-	seen := map[string]bool{}
-	for i, p := range points {
-		key := digestKey(p)
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		s := i % shards
-		out[s] = append(out[s], key)
-	}
-	return out, nil
-}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -120,7 +121,7 @@ func TestCheckpointWriterAppendLine(t *testing.T) {
 func TestDedup(t *testing.T) {
 	pts := mergeTestPoints(t)
 	r0, r1 := Evaluate(pts[0], 1), Evaluate(pts[1], 1)
-	d := NewDedup(1)
+	d := NewDedupAt(1, 0)
 	if !d.Add(r0) {
 		t.Fatal("fresh record rejected")
 	}
@@ -149,23 +150,34 @@ func TestDedup(t *testing.T) {
 	}
 }
 
-// TestShardDigests pins the coordinator's work-unit inventory: i mod n
-// assignment, duplicates counted once at their first occurrence, and the
-// shard union covering every unique digest exactly once.
+// TestShardDigests pins the assignment rule every run reads (Config.Slots):
+// i mod n assignment, duplicates owned once at their first occurrence, and
+// the shard union covering every unique digest exactly once.
 func TestShardDigests(t *testing.T) {
 	pts := mergeTestPoints(t)
 	dup := append(append([]Point{}, pts...), pts[0]) // sampled spaces repeat coordinates
-	shards, err := ShardDigests(dup, 2)
+	seq, err := Config{Shards: 2}.Slots(dup)
 	if err != nil {
 		t.Fatal(err)
 	}
+	slots := slices.Collect(seq)
+	if len(slots) != len(dup) {
+		t.Fatalf("%d slots for %d points", len(slots), len(dup))
+	}
 	seen := map[string]int{}
 	total := 0
-	for _, sh := range shards {
-		for _, dg := range sh {
-			seen[dg]++
-			total++
+	for i, s := range slots {
+		if s.Index != i || s.Key != DigestKey(dup[i]) {
+			t.Fatalf("slot %d = index %d key %s", i, s.Index, s.Key)
 		}
+		if s.Shard < 0 {
+			continue
+		}
+		if s.Shard != i%2 {
+			t.Fatalf("point %d assigned to shard %d, want %d", i, s.Shard, i%2)
+		}
+		seen[s.Key]++
+		total++
 	}
 	if total != len(pts) {
 		t.Fatalf("shard union has %d digests, want %d unique", total, len(pts))
@@ -175,10 +187,10 @@ func TestShardDigests(t *testing.T) {
 			t.Fatalf("digest %s assigned to %d shards", dg, n)
 		}
 	}
-	if got := DigestKey(dup[0]); shards[0][0] != got {
-		t.Fatalf("first digest %s not in shard 0 first slot (%v)", got, shards[0])
+	if last := slots[len(dup)-1]; last.Shard != -1 {
+		t.Fatalf("repeat of point 0 at index %d assigned to shard %d, want the first occurrence's", last.Index, last.Shard)
 	}
-	if _, err := ShardDigests(pts, 0); err == nil {
-		t.Fatal("ShardDigests(0) accepted")
+	if _, err := (Config{Shard: 2, Shards: 2}).Slots(pts); err == nil {
+		t.Fatal("shard 2 of 2 accepted")
 	}
 }

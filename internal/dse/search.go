@@ -235,13 +235,11 @@ func Search(ctx context.Context, spec SearchSpec, run RungRunner) (*SearchResult
 
 	// Distinct candidate digests in enumeration order (sampled point sets
 	// repeat coordinates; each digest is one candidate).
+	slots, _ := Config{}.Slots(spec.Points()) // the zero Config is one shard: no error
 	var cands []string
-	seen := map[string]bool{}
-	for _, p := range spec.Points() {
-		key := digestKey(p)
-		if !seen[key] {
-			seen[key] = true
-			cands = append(cands, key)
+	for s := range slots {
+		if s.Shard >= 0 {
+			cands = append(cands, s.Key)
 		}
 	}
 

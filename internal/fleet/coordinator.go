@@ -285,26 +285,18 @@ func Run(ctx context.Context, spec dse.SweepSpec, cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	points := spec.Points()
-	shards, err := dse.ShardDigests(points, cfg.Shards)
+	// Each shard's inventory is the digests Config.Slots assigns it — what
+	// the worker running that shard evaluates.
+	sc := spec.Config()
+	sc.Shards = cfg.Shards
+	slots, err := sc.Slots(points)
 	if err != nil {
 		return Result{}, err
 	}
-	if len(spec.Select) > 0 {
-		// A survivor-restricted spec (a search rung) only ever produces
-		// records for the selected digests; an unfiltered inventory would
-		// keep every shard "incomplete" forever.
-		sel := make(map[string]bool, len(spec.Select))
-		for _, d := range spec.Select {
-			sel[d] = true
-		}
-		for i, digests := range shards {
-			kept := digests[:0]
-			for _, d := range digests {
-				if sel[d] {
-					kept = append(kept, d)
-				}
-			}
-			shards[i] = kept
+	shards := make([][]string, cfg.Shards)
+	for s := range slots {
+		if s.Shard >= 0 {
+			shards[s.Shard] = append(shards[s.Shard], s.Key)
 		}
 	}
 

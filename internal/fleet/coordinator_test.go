@@ -71,34 +71,59 @@ func fleetWorkerConfig() WorkerConfig {
 
 // TestFleetMergeByteIdentical pins the tentpole identity on a healthy
 // fleet: three workers, three shards, merged checkpoint byte-identical to
-// the unsharded run.
+// the unsharded run. The sampled input repeats digests across shards; each
+// worker has its own result cache, so the evaluation ledger shows that
+// every unique digest is simulated by exactly one shard.
 func TestFleetMergeByteIdentical(t *testing.T) {
-	spec := fleetSpec()
-	want := referenceCheckpoint(t, spec)
-	var workers []string
-	for i := 0; i < 3; i++ {
-		workers = append(workers, newWorkerServer(t, serve.ManagerConfig{}).URL)
-	}
-	ck := filepath.Join(t.TempDir(), "merged.jsonl")
-	res, err := Run(context.Background(), spec, Config{
-		Workers:    workers,
-		Checkpoint: ck,
-		LeaseTTL:   10 * time.Second,
-		Worker:     fleetWorkerConfig(),
-		Logf:       t.Logf,
-	})
-	if err != nil {
-		t.Fatalf("fleet run: %v", err)
-	}
-	got, err := os.ReadFile(ck)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("merged checkpoint differs from unsharded run:\n%d vs %d bytes", len(got), len(want))
-	}
-	if res.Fresh != len(spec.Points()) || res.Resumed != 0 {
-		t.Fatalf("fresh=%d resumed=%d, want %d/0", res.Fresh, res.Resumed, len(spec.Points()))
+	sampled := fleetSpec()
+	sampled.Random, sampled.Seed = 12, 2 // 8 unique digests, 4 repeats in another shard
+	for _, spec := range []dse.SweepSpec{fleetSpec(), sampled} {
+		want := referenceCheckpoint(t, spec)
+		digests := map[string]bool{}
+		for _, p := range spec.Points() {
+			digests[dse.DigestKey(p)] = true
+		}
+		unique := len(digests)
+		if spec.Random > 0 && unique == len(spec.Points()) {
+			t.Fatal("the sample repeats no digest; the input proves nothing")
+		}
+		var misses atomic.Int64
+		countingRun := func(ctx context.Context, s dse.SweepSpec, opt serve.RunOptions) (*serve.RunResult, error) {
+			res, err := serve.Run(ctx, s, opt)
+			if res != nil {
+				misses.Add(int64(res.CacheMisses))
+			}
+			return res, err
+		}
+		var workers []string
+		for i := 0; i < 3; i++ {
+			cache := &serve.Cache{Dir: t.TempDir()}
+			workers = append(workers, newWorkerServer(t, serve.ManagerConfig{Cache: cache, RunFunc: countingRun}).URL)
+		}
+		ck := filepath.Join(t.TempDir(), "merged.jsonl")
+		res, err := Run(context.Background(), spec, Config{
+			Workers:    workers,
+			Checkpoint: ck,
+			LeaseTTL:   10 * time.Second,
+			Worker:     fleetWorkerConfig(),
+			Logf:       t.Logf,
+		})
+		if err != nil {
+			t.Fatalf("fleet run: %v", err)
+		}
+		got, err := os.ReadFile(ck)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("merged checkpoint differs from unsharded run:\n%d vs %d bytes", len(got), len(want))
+		}
+		if res.Fresh != unique || res.Resumed != 0 {
+			t.Fatalf("fresh=%d resumed=%d, want %d/0", res.Fresh, res.Resumed, unique)
+		}
+		if m := misses.Load(); m != int64(unique) {
+			t.Fatalf("workers simulated %d points for %d unique digests", m, unique)
+		}
 	}
 }
 

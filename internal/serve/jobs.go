@@ -411,8 +411,9 @@ func estimateRetryAfter(queued int, mean time.Duration) time.Duration {
 // BeginDrain flips the manager into drain mode: new submissions are rejected
 // with ErrClosed while already-admitted jobs keep running. Idempotent, and
 // implied by Close; bishopd calls it the moment SIGTERM arrives so /healthz
-// flips to 503 "draining" before the job queue unwinds — coordinators and
-// load balancers stop routing new shards to a departing worker.
+// flips to 503 "draining" before the job queue unwinds — load balancers stop
+// routing to a departing worker, and a coordinator's refused submit sends
+// the shard elsewhere.
 func (m *Manager) BeginDrain() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
